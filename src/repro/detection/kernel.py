@@ -21,15 +21,15 @@ first time a pipeline processes a document):
   set is reduced to the trie's leftmost-longest greedy selection, so
   the emitted spans are identical to the Python path.
 * :class:`DetectionKernel` — the bundle the pipeline attaches: one
-  interner + stem table shared by the concept automaton, the
-  named-entity automaton, and the unit-segmentation automaton that
-  accelerates the concept-vector scorer.
+  interner + stem table shared by the concept and named-entity
+  automata (fused into one tagged scan) and the unit-segmentation
+  automaton that only the concept-vector baseline scorer reads.
 
 Equivalence is structural, not statistical: the automata are compiled
 from the very phrase inventories the tries hold, the stem table from
 the same ``stem``/``is_stopword`` functions, and every consumer keeps
 its pure-Python path selectable (``benchmarks/bench_hotpath.py`` and
-``tests/test_automaton.py`` cross-check byte-identical output).
+``tests/test_detection_kernel.py`` cross-check byte-identical output).
 """
 
 from __future__ import annotations
@@ -176,6 +176,13 @@ class StemTable:
         return out
 
 
+def _as_list(column) -> list:
+    """*column* as a plain list: an ndarray converts in one C pass."""
+    if isinstance(column, list):
+        return column
+    return np.asarray(column).tolist()
+
+
 class FlatAutomaton:
     """Aho–Corasick over interned token ids, as flat ``int32`` columns.
 
@@ -200,9 +207,10 @@ class FlatAutomaton:
       no lexicon at runtime).
 
     The columns are the serialized form (``np.ndarray`` views straight
-    off an mmap'd data-pack); the constructor materializes plain Python
-    lists for the scan loop, where list indexing is ~3x faster than
-    numpy scalar indexing.
+    off a data-pack); the constructor materializes plain Python lists
+    for the scan loop, where list indexing is ~3x faster than numpy
+    scalar indexing.  Lists from :meth:`compile` are adopted as they
+    are.
     """
 
     __slots__ = (
@@ -232,15 +240,13 @@ class FlatAutomaton:
         out_score=None,
     ):
         self.interner = interner
-        self._delta = [int(v) for v in delta]
-        self._fail = [int(v) for v in fail]
-        self._out_len = [int(v) for v in out_len]
-        self._emits = [int(v) for v in emits]
-        self._out_next = [int(v) for v in out_next]
-        self._sym = [int(v) for v in sym]
-        self._out_score = (
-            None if out_score is None else [float(v) for v in out_score]
-        )
+        self._delta = _as_list(delta)
+        self._fail = _as_list(fail)
+        self._out_len = _as_list(out_len)
+        self._emits = _as_list(emits)
+        self._out_next = _as_list(out_next)
+        self._sym = _as_list(sym)
+        self._out_score = None if out_score is None else _as_list(out_score)
         self.state_count = len(self._fail)
         self.phrase_count = int(phrase_count)
         if self.state_count:
@@ -427,7 +433,13 @@ class FlatAutomaton:
     # -- matching --------------------------------------------------------
 
     def _scored_starts(self, ids: Sequence[int]) -> Dict[int, tuple]:
-        """start token index -> (longest end, that match's score)."""
+        """start token index -> (longest end, that match's score).
+
+        Ends only grow as the scan advances (every match at position
+        ``p`` ends at ``p + 1``, and one position's output chain has
+        distinct lengths, hence distinct starts), so the last match
+        written for a start is its longest.
+        """
         delta = self._delta
         sym = self._sym
         emits = self._emits
@@ -442,13 +454,10 @@ class FlatAutomaton:
             terminal = emits[state]
             while terminal:
                 end = position + 1
-                start = end - out_len[terminal]
-                found = best.get(start)
-                if found is None or found[0] < end:
-                    best[start] = (
-                        end,
-                        scores[terminal] if scores is not None else 0.0,
-                    )
+                best[end - out_len[terminal]] = (
+                    end,
+                    scores[terminal] if scores is not None else 0.0,
+                )
                 terminal = out_next[terminal]
         return best
 
@@ -496,21 +505,24 @@ class FlatAutomaton:
 
 TAG_CONCEPTS = 1
 TAG_NAMED = 2
-TAG_UNITS = 4
 
 
 class CombinedAutomaton:
-    """The three detector inventories fused into one tagged scan.
+    """The concept and named-entity inventories fused into one tagged scan.
 
     Per-detector scans each pay a full pass over the document's id
     stream; fusing them into a single automaton over the *union*
     inventory makes the per-token work one delta step and one output
     probe total.  Each terminal state carries a tag bitmask saying which
-    detectors own that phrase, so one pass yields the three per-detector
-    ``{start: (longest end, score)}`` maps — per tag these are exactly
-    what the individual automatons' ``_scored_starts`` would compute
-    (same match sets, same update rule), so downstream greedy reductions
-    are unchanged.
+    detectors own that phrase, so one pass yields both per-detector
+    ``{start: longest end}`` maps — per tag these hold exactly the ends
+    the individual automatons' ``_scored_starts`` would compute (same
+    match sets), so downstream greedy reductions are unchanged.
+
+    The unit lexicon is deliberately left out: only the concept-vector
+    baseline segments units, and it scans the unit automaton on its
+    own, so serving neither compiles nor walks the far larger
+    three-inventory table.
 
     Built in :class:`DetectionKernel.__init__` from the per-detector
     automatons' reconstructed inventories (:meth:`FlatAutomaton.
@@ -542,47 +554,38 @@ class CombinedAutomaton:
     ) -> "CombinedAutomaton":
         """Fuse *(automaton, tag)* pairs into one tagged automaton."""
         tag_of: Dict[Phrase, int] = {}
-        score_of: Dict[Phrase, float] = {}
-        union: List[Phrase] = []
         for automaton, tag in tagged:
-            scores = automaton._out_score
-            for phrase, terminal in automaton.phrase_states():
-                if phrase in tag_of:
-                    tag_of[phrase] |= tag
-                else:
-                    tag_of[phrase] = tag
-                    union.append(phrase)
-                if scores is not None:
-                    score_of[phrase] = scores[terminal]
-        base = FlatAutomaton.compile(union, interner, scores=score_of)
+            for phrase, __ in automaton.phrase_states():
+                tag_of[phrase] = tag_of.get(phrase, 0) | tag
+        base = FlatAutomaton.compile(tag_of, interner)
         tags = [0] * base.state_count
-        for phrase in union:
-            tags[base.terminal_of(phrase)] = tag_of[phrase]
+        for phrase, tag in tag_of.items():
+            tags[base.terminal_of(phrase)] = tag
         return cls(base, tags)
 
-    def scan(self, ids: Sequence[int]) -> Tuple[dict, dict, dict]:
-        """One pass over *ids* -> (concepts, named, units) start maps.
+    def scan(
+        self, ids: Sequence[int]
+    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """One pass over *ids* -> (concepts, named) ``{start: end}`` maps.
 
         Symbol 0 (not in any phrase) always transitions to the root and
         the root emits nothing, so only the tokens with a nonzero symbol
         need walking: the state resets to the root wherever the nonzero
-        positions are not contiguous.  Per tag the resulting maps equal
-        the per-detector automatons' ``_scored_starts``.
+        positions are not contiguous.  Ends only grow as the scan
+        advances, so the last end written for a start is its longest.
         """
         base = self.base
         delta = self._delta_pm
         emits = self._emits_pm
         out_len = base._out_len
         out_next = base._out_next
-        out_score = base._out_score
         tags = self.tags
         if not isinstance(ids, np.ndarray):
             ids = np.asarray(ids, dtype=np.int32)
         symbols = self._sym_array[ids]
         positions = symbols.nonzero()[0]
-        best_concepts: Dict[int, tuple] = {}
-        best_named: Dict[int, tuple] = {}
-        best_units: Dict[int, tuple] = {}
+        best_concepts: Dict[int, int] = {}
+        best_named: Dict[int, int] = {}
         state = 0  # pre-multiplied row base
         previous = -2
         for position, symbol in zip(
@@ -597,45 +600,12 @@ class CombinedAutomaton:
                 end = position + 1
                 start = end - out_len[terminal]
                 tag = tags[terminal]
-                # concept/named matches score 0.0 (their automatons have
-                # no score column); unit matches read the score column.
                 if tag & TAG_CONCEPTS:
-                    found = best_concepts.get(start)
-                    if found is None or found[0] < end:
-                        best_concepts[start] = (end, 0.0)
+                    best_concepts[start] = end
                 if tag & TAG_NAMED:
-                    found = best_named.get(start)
-                    if found is None or found[0] < end:
-                        best_named[start] = (end, 0.0)
-                if tag & TAG_UNITS:
-                    found = best_units.get(start)
-                    if found is None or found[0] < end:
-                        best_units[start] = (
-                            end,
-                            out_score[terminal]
-                            if out_score is not None
-                            else 0.0,
-                        )
+                    best_named[start] = end
                 terminal = out_next[terminal]
-        return best_concepts, best_named, best_units
-
-
-def greedy_spans(best: Dict[int, tuple]) -> List[Tuple[int, int, float]]:
-    """Reduce a ``{start: (end, score)}`` map to leftmost-longest spans.
-
-    The same cursor sweep as ``FlatAutomaton.find_scored_spans`` — take
-    the longest match at the scan position, resume past it.
-    """
-    if not best:
-        return []
-    spans: List[Tuple[int, int, float]] = []
-    cursor = 0
-    for start in sorted(best):
-        if start >= cursor:
-            end, score = best[start]
-            spans.append((start, end, score))
-            cursor = end
-    return spans
+        return best_concepts, best_named
 
 
 class TaggedPhraseView:
@@ -647,7 +617,7 @@ class TaggedPhraseView:
     the kernel's cached per-document combined scan, so the concept and
     named detectors together trigger a single pass.  Falls back to the
     wrapped per-detector automaton when the kernel has no combined
-    automaton (fewer than two inventories).
+    automaton (only one of the two inventories).
     """
 
     __slots__ = ("_kernel", "_slot", "automaton")
@@ -684,7 +654,7 @@ class TaggedPhraseView:
         cursor = 0
         for start in sorted(best):
             if start >= cursor:
-                end = best[start][0]
+                end = best[start]
                 out.append(
                     (tuple(words[start:end]), starts[start], ends[end - 1])
                 )
@@ -704,6 +674,11 @@ class DetectionKernel:
       scores live in ``unit_single_scores`` (``float64[V + 1]``,
       OOV slot 0.0 — unit tokens are folded into the vocab, so an OOV
       word can never be a unit).
+
+    ``concepts`` and ``named`` are fused into one
+    :class:`CombinedAutomaton` scan (detection); ``units`` is scanned
+    on its own, and only by the concept-vector baseline
+    (:meth:`unit_weights`).
     """
 
     def __init__(
@@ -737,20 +712,13 @@ class DetectionKernel:
         )
         self._tid_cache = None  # (table identity+size, vid->TID column)
         self._idf_cache = None  # (table identity+version, vid->idf column)
-        # Fuse the automatons into one tagged scan when two or more are
-        # present (with a single automaton there is nothing to share).
-        present = [
-            (automaton, tag)
-            for automaton, tag in (
-                (concepts, TAG_CONCEPTS),
-                (named, TAG_NAMED),
-                (units, TAG_UNITS),
-            )
-            if automaton is not None
-        ]
+        # Fuse the two detector inventories into one tagged scan (with
+        # a single automaton there is nothing to share).
         self._combined = (
-            CombinedAutomaton.compile(interner, present)
-            if len(present) >= 2
+            CombinedAutomaton.compile(
+                interner, [(concepts, TAG_CONCEPTS), (named, TAG_NAMED)]
+            )
+            if concepts is not None and named is not None
             else None
         )
         self.concepts_view = (
@@ -844,12 +812,12 @@ class DetectionKernel:
 
     # -- per-document kernels --------------------------------------------
 
-    def scan(self, document: TokenizedDocument) -> Tuple[dict, dict, dict]:
+    def scan(self, document: TokenizedDocument) -> Tuple[dict, dict]:
         """The document's combined-scan result, computed at most once.
 
-        Cached on the document, so the concept detector, the named
-        detector, and the unit segmentation share one pass over the id
-        stream.  Only valid when a combined automaton exists.
+        Cached on the document, so the concept detector and the named
+        detector share one pass over the id stream.  Only valid when a
+        combined automaton exists.
         """
         cached = document._kernel_scan
         if cached is not None and cached[0] is self:
@@ -1071,15 +1039,14 @@ class DetectionKernel:
         come from the unit automaton's leftmost-longest spans (score in
         the automaton's score column), every uncovered word is a
         singleton segment scored by the single-unit column.  Weight
-        insertion order is document order, like the seed loop.
+        insertion order is document order, like the seed loop.  Only
+        the concept-vector baseline calls this; detection never scans
+        the unit automaton.
         """
         ids = document.token_ids(self.interner)
-        if self.units is None:
-            spans = []
-        elif self._combined is not None:
-            spans = greedy_spans(self.scan(document)[2])
-        else:
-            spans = self.units.find_scored_spans(ids)
+        spans = (
+            self.units.find_scored_spans(ids) if self.units is not None else []
+        )
         words = document.words
         singles = self.unit_single_scores
         weights: Dict[str, float] = {}

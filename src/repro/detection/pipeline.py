@@ -6,7 +6,9 @@ entities, disambiguation, filtering, and output annotation"
 (Section II).  The pipeline output — candidate entities with concept-
 vector scores — is exactly what the ranking layer consumes, and
 ranking by the concept-vector score alone *is* the paper's baseline
-production system.
+production system.  The runtime ranker replaces every one of those
+scores, so it asks for the candidates unscored
+(``process_document(..., score=False)``).
 """
 
 from __future__ import annotations
@@ -211,9 +213,17 @@ class ShortcutsPipeline:
             )
         return self.process_document(TokenizedDocument.of(document))
 
-    def process_document(self, document: TokenizedDocument) -> AnnotatedDocument:
+    def process_document(
+        self, document: TokenizedDocument, score: bool = True
+    ) -> AnnotatedDocument:
         """The single-pass pipeline: every stage reads *document*'s
-        shared token stream; the document is tokenized at most once."""
+        shared token stream; the document is tokenized at most once.
+
+        ``score=False`` returns the same collision-resolved, deduplicated
+        detections with their 0.0 scores and builds no concept vector:
+        a caller that rescores every detection (the runtime ranker)
+        skips the baseline's term weights, unit segmentation and merge.
+        """
         self._ensure_kernel()
         text = document.text
 
@@ -224,12 +234,12 @@ class ShortcutsPipeline:
         candidates.extend(self._concepts.detect_document(document))
 
         resolved = deduplicate(resolve_collisions(candidates))
-
-        vector = self._scorer.concept_vector(document)
-        scored = [
-            d
-            if d.kind == KIND_PATTERN
-            else d.with_score(self._scorer.score_phrase(vector, d.phrase))
-            for d in resolved
-        ]
-        return AnnotatedDocument(text=text, detections=scored, tokens=document)
+        if score:
+            vector = self._scorer.concept_vector(document)
+            resolved = [
+                d
+                if d.kind == KIND_PATTERN
+                else d.with_score(self._scorer.score_phrase(vector, d.phrase))
+                for d in resolved
+            ]
+        return AnnotatedDocument(text=text, detections=resolved, tokens=document)

@@ -214,7 +214,18 @@ class StackSampler:
 
     def _sample_once(self, own_ident: int) -> None:
         stages = active_stages() if self._track_stages else {}
-        frames = sys._current_frames()
+        # sys._current_frames() holds the interpreter's thread-list lock
+        # while it allocates frame objects.  A collection triggered there
+        # can run a finalizer that releases the GIL, and a thread that is
+        # starting or exiting then takes the GIL and blocks on that lock:
+        # a deadlock.  No collection may run inside the call.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+        finally:
+            if collecting:
+                gc.enable()
         # threading.enumerate() walks a lock-guarded list and allocates;
         # at ~100 hz that is real overhead, so names are cached by ident
         # and the walk only happens when an unseen thread appears

@@ -394,14 +394,59 @@ def save_detection_kernel(kernel, path: PathLike) -> None:
     write_pack(path, sections)
 
 
+def _check_automaton_columns(
+    prefix: str, columns: Dict[str, np.ndarray], vocab_size: int
+) -> None:
+    """Reject damaged automaton columns before they become scan tables.
+
+    Every value the scan loop uses as an index must lie in its table:
+    states (``delta``/``fail``/``emits``/``out_next``, and ``out_len``,
+    a phrase length, which a trie of ``S`` states keeps below ``S``) in
+    ``[0, S)``, symbols in ``[0, A)``.  A flipped entry would otherwise
+    load cleanly and mis-detect or raise mid-scan.  One vectorized
+    min/max per column keeps the check far below the load itself.
+    """
+    states = len(columns["fail"])
+    delta = columns["delta"]
+    alphabet = len(delta) // states if states else 0
+    if not alphabet or len(delta) != states * alphabet:
+        raise ValueError(
+            f"damaged detection pack: {prefix}_delta holds {len(delta)} "
+            f"entries, not a whole number of rows for {states} states"
+        )
+    if len(columns["sym"]) != vocab_size + 1:
+        raise ValueError(
+            f"damaged detection pack: {prefix}_sym holds "
+            f"{len(columns['sym'])} entries for a vocabulary of "
+            f"{vocab_size} terms plus the OOV slot"
+        )
+    for column in ("out_len", "emits", "out_next", "out_score"):
+        values = columns.get(column)
+        if values is not None and len(values) != states:
+            raise ValueError(
+                f"damaged detection pack: {prefix}_{column} holds "
+                f"{len(values)} entries for {states} states"
+            )
+    for column in _AUTOMATON_COLUMNS:
+        values = columns[column]
+        limit = alphabet if column == "sym" else states
+        if values.size and (values.min() < 0 or values.max() >= limit):
+            raise ValueError(
+                f"damaged detection pack: {prefix}_{column} holds values "
+                f"outside [0, {limit})"
+            )
+
+
 def load_detection_kernel(path: PathLike):
     """Load a compiled detection kernel pack.
 
     The flat columns are viewed with ``np.frombuffer`` (the v2 8-byte
-    alignment makes that valid in place) and materialized into the
-    kernel's Python scan tables — list indexing beats numpy scalar
-    indexing in the token loop — so the pack is read eagerly rather
-    than kept mapped: nothing would reference the map after load.
+    alignment makes that valid in place), range-checked, and
+    materialized into the kernel's Python scan tables — list indexing
+    beats numpy scalar indexing in the token loop — so the pack is read
+    eagerly rather than kept mapped: nothing would reference the map
+    after load.  A column whose lengths or values cannot come from a
+    compiled automaton raises ``ValueError`` naming its section.
     """
     from repro.detection.kernel import (
         DetectionKernel,
@@ -423,15 +468,11 @@ def load_detection_kernel(path: PathLike):
             for column in _AUTOMATON_COLUMNS
         }
         score_payload = sections.get(f"{prefix}_out_score")
+        if score_payload is not None:
+            columns["out_score"] = np.frombuffer(score_payload, dtype="<f8")
+        _check_automaton_columns(prefix, columns, len(interner))
         automata[prefix] = FlatAutomaton(
-            interner,
-            phrase_count=int(info["phrase_count"]),
-            out_score=(
-                None
-                if score_payload is None
-                else np.frombuffer(score_payload, dtype="<f8")
-            ),
-            **columns,
+            interner, phrase_count=int(info["phrase_count"]), **columns
         )
     return DetectionKernel(
         interner,

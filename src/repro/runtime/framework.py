@@ -11,10 +11,11 @@ detection and feature-lookup timings.
 
 The path is single-pass: the document is tokenized exactly once into a
 shared :class:`TokenizedDocument`; the stemmer output becomes the
-ranker's relevance context, the detectors and the concept-vector scorer
-walk the same token stream.  ``process_batch`` optionally fans a batch
-out over worker threads, preserving input order and merging the
-per-worker timing stats.
+ranker's relevance context and the detectors walk the same token
+stream.  The concept-vector baseline score is never computed here —
+the RankSVM decision replaces it for every candidate.
+``process_batch`` optionally fans a batch out over worker threads,
+preserving input order and merging the per-worker timing stats.
 
 Observability: every processed document feeds the service's
 :class:`~repro.obs.MetricsRegistry` (per-stage latency histograms,
@@ -433,7 +434,9 @@ class RankerService:
 
         if marking:
             mark_stage("detect")
-        annotated = self._pipeline.process_document(document)
+        # Unscored: the ranker below overwrites every detection's score,
+        # so the concept-vector baseline would be discarded work.
+        annotated = self._pipeline.process_document(document, score=False)
         detect_done = time.perf_counter()
         if marking:
             mark_stage("rank")

@@ -19,7 +19,7 @@ import pytest
 from repro.detection import NamedEntityDetector, PatternDetector, PhraseMatcher
 from repro.detection.kernel import (
     TAG_CONCEPTS,
-    TAG_UNITS,
+    TAG_NAMED,
     CombinedAutomaton,
     DetectionKernel,
     FlatAutomaton,
@@ -168,28 +168,37 @@ class TestFlatAutomatonStructure:
         assert [score for __, __, score in spans] == [0.75, 0.75]
 
 
+def ends_by_start(automaton: FlatAutomaton, ids) -> dict:
+    """The per-detector ``{start: longest end}`` map of one automaton."""
+    return {
+        start: end for start, (end, __) in automaton._scored_starts(ids).items()
+    }
+
+
 class TestCombinedAutomaton:
     def test_tagged_scan_matches_per_detector(self):
         interner = TokenInterner(["a", "b", "c", "d", "e"])
         concepts = FlatAutomaton.compile(
             [("a", "b"), ("c",), ("b", "c", "d")], interner
         )
-        unit_scores = {("a", "b"): 0.9, ("d", "e"): 0.4}
-        units = FlatAutomaton.compile(
-            sorted(unit_scores), interner, scores=unit_scores
+        # ("a", "b") is in both inventories: its terminal carries both tags
+        named = FlatAutomaton.compile(
+            [("a", "b"), ("d", "e"), ("c", "d", "e")], interner
         )
         combined = CombinedAutomaton.compile(
-            interner, [(concepts, TAG_CONCEPTS), (units, TAG_UNITS)]
+            interner, [(concepts, TAG_CONCEPTS), (named, TAG_NAMED)]
         )
         rng = random.Random(3)
         vocab = ["a", "b", "c", "d", "e", "zzz"]
+        named_seen = 0
         for _ in range(40):
             words = rng.choices(vocab, k=rng.randint(0, 30))
             ids = interner.ids(words)
-            got_concepts, got_named, got_units = combined.scan(ids)
-            assert got_concepts == concepts._scored_starts(ids)
-            assert got_named == {}
-            assert got_units == units._scored_starts(ids)
+            got_concepts, got_named = combined.scan(ids)
+            assert got_concepts == ends_by_start(concepts, ids)
+            assert got_named == ends_by_start(named, ids)
+            named_seen += len(got_named)
+        assert named_seen
 
 
 class TestKernelPipelineEquivalence:
@@ -300,6 +309,58 @@ class TestKernelPackRoundTrip:
         assert loaded.concepts_view.find_phrases(
             document
         ) == kernel.concepts_view.find_phrases(TokenizedDocument(env_stories[0].text))
+
+
+@pytest.fixture(scope="module")
+def kernel_pack_sections(tmp_path_factory, env_pipeline):
+    """The sections of a saved kernel pack with all three automata."""
+    from repro.runtime.datapack import read_pack, save_detection_kernel
+
+    kernel = DetectionKernel.build(
+        concept_phrases=env_pipeline._concepts.inventory(),
+        named_phrases=env_pipeline._named.inventory(),
+        lexicon=env_pipeline._scorer.lexicon,
+    )
+    path = tmp_path_factory.mktemp("kernel") / "kernel.pack"
+    save_detection_kernel(kernel, path)
+    return read_pack(path)
+
+
+class TestDamagedKernelPack:
+    """A damaged automaton column fails at load, naming its section."""
+
+    PREFIXES = ("concepts", "named", "units")
+
+    def load_with(self, tmp_path, sections, name, damaged):
+        from repro.runtime.datapack import load_detection_kernel, write_pack
+
+        path = tmp_path / f"{name}.pack"
+        write_pack(path, dict(sections, **{name: damaged.tobytes()}))
+        return load_detection_kernel(path)
+
+    @pytest.mark.parametrize(
+        "column", ["delta", "fail", "out_len", "emits", "out_next", "sym"]
+    )
+    @pytest.mark.parametrize("value", [-1, 10**6])
+    def test_out_of_range_value_rejected(
+        self, tmp_path, kernel_pack_sections, column, value
+    ):
+        for prefix in self.PREFIXES:
+            name = f"{prefix}_{column}"
+            damaged = np.frombuffer(kernel_pack_sections[name], "<i4").copy()
+            damaged[len(damaged) // 2] = value
+            with pytest.raises(ValueError, match=name):
+                self.load_with(tmp_path, kernel_pack_sections, name, damaged)
+
+    @pytest.mark.parametrize("column", ["delta", "sym", "out_len", "emits"])
+    def test_truncated_column_rejected(
+        self, tmp_path, kernel_pack_sections, column
+    ):
+        for prefix in self.PREFIXES:
+            name = f"{prefix}_{column}"
+            damaged = np.frombuffer(kernel_pack_sections[name], "<i4")[:-1]
+            with pytest.raises(ValueError, match=name):
+                self.load_with(tmp_path, kernel_pack_sections, name, damaged)
 
 
 class TestStemmerCache:

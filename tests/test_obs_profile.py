@@ -137,6 +137,32 @@ class TestStackSampler:
         )
         assert stage_total > 0
 
+    def test_no_collection_inside_current_frames(self, monkeypatch):
+        """``sys._current_frames()`` holds the thread-list lock while it
+        allocates; a collection there can deadlock the sampler against
+        a starting or exiting thread, so the collector is paused for
+        the call and restored to its previous state afterwards."""
+        import sys
+
+        collector_on = []
+        current_frames = sys._current_frames
+
+        def recording():
+            collector_on.append(gc.isenabled())
+            return current_frames()
+
+        monkeypatch.setattr(sys, "_current_frames", recording)
+        sampler = StackSampler(hz=100, registry=MetricsRegistry())
+        sampler._sample_once(threading.get_ident())
+        assert collector_on == [False]
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            sampler._sample_once(threading.get_ident())
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_rejects_bad_hz_and_double_start(self):
         with pytest.raises(ValueError):
             StackSampler(hz=0)

@@ -159,6 +159,29 @@ class TestGoldenEquivalence:
             shared = env_pipeline.process_document(TokenizedDocument(text))
             assert fresh == shared
             assert shared.tokens is not None
+            unscored = env_pipeline.process_document(
+                TokenizedDocument(text), score=False
+            )
+            assert unscored.detections == [
+                d.with_score(0.0) for d in shared.detections
+            ]
+
+    def test_service_skips_the_concept_vector_baseline(
+        self, service, env_stories, monkeypatch
+    ):
+        """The ranker rescores every detection, so serving must rank
+        without building a concept vector or segmenting units."""
+        texts = [story.text for story in env_stories[:25]]
+        service.process(texts[0])  # compiles the pipeline's kernel
+        expected = [seed_process(service, text) for text in texts]
+        pipeline = service._pipeline
+
+        def discarded(*args, **kwargs):
+            raise AssertionError("serving built the concept-vector baseline")
+
+        monkeypatch.setattr(pipeline._scorer, "concept_vector", discarded)
+        monkeypatch.setattr(pipeline.kernel, "unit_weights", discarded)
+        assert [service.process(text) for text in texts] == expected
 
     def test_matcher_matches_seed_on_corpus(self, env_concept_detector, env_stories):
         inventory = list(env_concept_detector._phrases)
