@@ -14,6 +14,7 @@ to reproduce is stemmer-faster-than-ranker and the storage arithmetic.
 from _report import record_section
 from repro.ranking import RankSVM
 from repro.runtime import (
+    CompressedRelevanceStore,
     GlobalTidTable,
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
@@ -51,7 +52,8 @@ def test_framework_throughput(benchmark, bench_env, bench_experiment):
     concepts = len(interestingness)
     per_million_interest = interestingness.memory_bytes() / concepts * 1e6 / 1e6
     per_million_relevance = relevance.memory_bytes() / concepts * 1e6 / 1e6
-    per_million_compressed = relevance.compressed_bytes() / concepts * 1e6 / 1e6
+    compressed = CompressedRelevanceStore.from_packed(relevance)
+    per_million_compressed = compressed.memory_bytes() / concepts * 1e6 / 1e6
     lines = [
         f"documents: {stats.documents}, "
         f"{stats.bytes_processed / stats.documents / 1e3:.2f} KB avg "

@@ -12,7 +12,7 @@ This benchmark builds a synthetic relevance model at the paper's shape
 (m = 100 keywords per concept), then records:
 
 * relevance-lookup throughput (lookups/sec) for the seed loop, the
-  columnar store, and the Golomb-compressed store (decode-cache warm),
+  columnar store, and the Golomb–Rice compressed store,
 * cold-start seconds: v1 eager pack load vs. v2 ``mmap`` zero-copy load,
 * resident bytes for the packed and compressed stores,
 * equivalence flags — the vectorized paths must match the seed loop
@@ -122,10 +122,7 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
     model = synthetic_model(concept_count)
     packed = PackedRelevanceStore.build(model)
     packed.arena()  # finalize outside the timed regions
-    # cache sized to the concept set: measures the decode-cache-warm tier
-    compressed = CompressedRelevanceStore.from_packed(
-        packed, cache_size=concept_count
-    )
+    compressed = CompressedRelevanceStore.from_packed(packed)
     phrases = packed.phrases()
     contexts = document_contexts(packed)
     lookups = len(phrases) * len(contexts)
@@ -151,8 +148,7 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
         for context in contexts
     ]
 
-    # -- compressed store, decode cache warm over repeated contexts ---------
-    compressed.score_many(phrases, contexts[0])  # prime
+    # -- compressed store: batch decode per context -------------------------
     started = time.perf_counter()
     compressed_scores = [
         compressed.score_many(phrases, context).tolist() for context in contexts
@@ -211,7 +207,6 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
                 packed.memory_bytes() / max(1, compressed.memory_bytes()), 3
             ),
         },
-        "decode_cache": compressed.cache_info(),
         "equivalence": {
             "columnar_matches_seed": columnar_scores == seed_scores,
             "score_matches_score_many": single_scores == columnar_scores,
@@ -244,7 +239,7 @@ def report_lines(snapshot):
         f"lookup throughput: seed loop {lookup['seed_ops_per_second']:10.0f} ops/s"
         f" -> columnar {lookup['columnar_ops_per_second']:10.0f} ops/s "
         f"({lookup['speedup_columnar_vs_seed']:.1f}x)",
-        f"compressed store (cache warm): "
+        f"compressed store: "
         f"{lookup['compressed_ops_per_second']:10.0f} ops/s",
         f"cold start: seed-style {cold['seed_style_seconds'] * 1e3:8.2f} ms, "
         f"v1 eager {cold['v1_eager_seconds'] * 1e3:8.2f} ms -> "

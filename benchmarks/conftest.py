@@ -9,6 +9,7 @@ written to ``benchmarks/RESULTS.md``.
 
 import os
 import pickle
+import warnings
 from pathlib import Path
 from typing import List
 
@@ -69,8 +70,15 @@ def _load_cached():
 
 def _store_cache(env, dataset) -> None:
     payload = {"key": _cache_key(), "env": env, "dataset": dataset}
-    with open(_CACHE_PATH, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except TypeError as error:
+        # The environment's search engine holds live registry metrics
+        # (thread-local shards, locks), which do not pickle: run
+        # uncached rather than fail every benchmark at set-up.
+        warnings.warn(f"benchmark environment not cached: {error}")
+        return
+    _CACHE_PATH.write_bytes(blob)
 
 
 @pytest.fixture(scope="session")

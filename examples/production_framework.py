@@ -14,6 +14,7 @@ from repro import Environment, EnvironmentConfig, WorldConfig
 from repro.eval import RankingExperiment, collect_dataset
 from repro.ranking import RankSVM
 from repro.runtime import (
+    CompressedRelevanceStore,
     GlobalTidTable,
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
@@ -50,14 +51,15 @@ def main() -> None:
     tid_table = GlobalTidTable()
     relevance = PackedRelevanceStore.build(model, tid_table)
     pairs = relevance.memory_bytes() // 4
+    coded = CompressedRelevanceStore.from_packed(relevance).memory_bytes()
     print(
         f"  {len(relevance)} concepts, {pairs} packed pairs, "
         f"{len(tid_table)} distinct TIDs (sharing across concepts)"
     )
     print(
         f"  packed store: {relevance.memory_bytes() / 1e3:.1f} KB; "
-        f"Golomb-coded: {relevance.compressed_bytes() / 1e3:.1f} KB "
-        f"({(1 - relevance.compressed_bytes() / relevance.memory_bytes()) * 100:.0f}% smaller)"
+        f"Golomb-coded: {coded / 1e3:.1f} KB "
+        f"({(1 - coded / relevance.memory_bytes()) * 100:.0f}% smaller)"
     )
 
     print("training the ranking model on click data ...")

@@ -30,8 +30,8 @@ under production traffic:
 :func:`resident_bytes` and :func:`record_resident_bytes` complete the
 memory picture for the *frozen* side: they walk an object graph for
 numpy arrays / byte buffers and fold the totals into
-``resident_bytes{component=...}`` gauges (the serving stores' arenas
-and decode caches — see ``RankerService.observe_resident_bytes``).
+``resident_bytes{component=...}`` gauges (the serving stores' packed
+and coded arenas — see ``RankerService.observe_resident_bytes``).
 
 The sampler's overhead contract is enforced by
 ``benchmarks/bench_profile.py``: ≤ 2% throughput cost at 97 hz on the
@@ -718,7 +718,7 @@ def resident_bytes(obj, max_depth: int = 4) -> int:
     A bounded, cycle-safe walk over ``__dict__``/``__slots__`` and the
     builtin containers; every distinct ``ndarray``/``bytes`` buffer is
     counted once.  This deliberately measures the *payload* (the arena
-    columns, decode-cache entries, packed sections) and not python
+    columns and coded streams, packed sections) and not python
     object overhead — the number a capacity plan actually needs.
     """
     import numpy as np
@@ -760,10 +760,11 @@ def resident_bytes(obj, max_depth: int = 4) -> int:
         if isinstance(child_dict, dict):
             for child in child_dict.values():
                 walk(child, depth + 1)
-        for slot_name in getattr(type(value), "__slots__", ()):
-            child = getattr(value, slot_name, None)
-            if child is not None:
-                walk(child, depth + 1)
+        for klass in type(value).__mro__:
+            for slot_name in klass.__dict__.get("__slots__", ()):
+                child = getattr(value, slot_name, None)
+                if child is not None:
+                    walk(child, depth + 1)
 
     walk(obj, 0)
     return total

@@ -15,15 +15,7 @@ from repro.runtime.datapack import (
     write_pack,
 )
 from repro.runtime.framework import RankerService, TimingStats
-from repro.runtime.golomb import (
-    BitReader,
-    BitWriter,
-    golomb_decode,
-    golomb_decode_array,
-    golomb_encode,
-    optimal_parameter,
-    unpack_fixed_width,
-)
+from repro.runtime.golomb import RiceArena
 from repro.runtime.store import QuantizedInterestingnessStore
 from repro.runtime.tid import (
     MAX_SCORE_CODE,
@@ -52,13 +44,7 @@ __all__ = [
     "write_pack",
     "RankerService",
     "TimingStats",
-    "BitReader",
-    "BitWriter",
-    "golomb_decode",
-    "golomb_decode_array",
-    "golomb_encode",
-    "optimal_parameter",
-    "unpack_fixed_width",
+    "RiceArena",
     "QuantizedInterestingnessStore",
     "MAX_SCORE_CODE",
     "MAX_TID",

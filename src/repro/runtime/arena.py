@@ -11,9 +11,10 @@ expose the two columns straight off disk (``np.frombuffer`` over an
 ``mmap``) so cold start costs O(index), not O(corpus).
 
 The same phrase -> row discipline backs the fixed-stride matrix of the
-quantized interestingness store; this module holds the variable-stride
-(pairs + offsets) form plus the TID-context helpers both relevance
-stores share.
+quantized interestingness store and the Golomb–Rice coded
+:class:`~repro.runtime.golomb.RiceArena`; this module holds the
+variable-stride (pairs + offsets) form plus the TID-context helpers
+both relevance stores share.
 """
 
 from __future__ import annotations
@@ -63,24 +64,17 @@ def sorted_membership(context: np.ndarray, tids: np.ndarray) -> np.ndarray:
     return table[np.minimum(tids, top + 1)]
 
 
-class PhraseArena:
-    """Contiguous packed-pair column + offsets index + phrase -> row table.
+class SegmentTable:
+    """Phrase -> row table over an offsets column (the arenas' index).
 
-    ``pairs`` is sorted within each segment (ascending packed value, i.e.
-    ascending TID); ``offsets`` has ``len(phrases) + 1`` entries.  The
-    arrays may be read-only views over a mapped data-pack — the arena
-    never mutates them.
+    Row *i* owns pairs ``offsets[i]:offsets[i+1]``; subclasses hold the
+    pair payload and implement ``gather(rows) -> (values, bounds)``
+    over it (see :meth:`PhraseArena.gather`).
     """
 
-    __slots__ = ("pairs", "offsets", "phrases", "rows")
+    __slots__ = ("offsets", "phrases", "rows")
 
-    def __init__(
-        self,
-        pairs: np.ndarray,
-        offsets: np.ndarray,
-        phrases: Iterable[str],
-    ):
-        self.pairs = pairs
+    def __init__(self, offsets: np.ndarray, phrases: Iterable[str]):
         self.offsets = offsets
         self.phrases: List[str] = list(phrases)
         if len(self.offsets) != len(self.phrases) + 1:
@@ -103,13 +97,46 @@ class PhraseArena:
         return self.rows.get(phrase)
 
     def segment(self, row: int) -> np.ndarray:
-        """The packed-pair view of one concept (no copy)."""
-        return self.pairs[int(self.offsets[row]) : int(self.offsets[row + 1])]
+        """The packed pairs of one concept."""
+        return self.gather(np.asarray([row], dtype=np.int64))[0]
 
     def segments(self) -> Iterable[Tuple[str, np.ndarray]]:
-        """(phrase, segment view) in row order."""
-        for row, phrase in enumerate(self.phrases):
-            yield phrase, self.segment(row)
+        """(phrase, segment) in row order, from one gather of every row."""
+        values, bounds = self.gather(np.arange(len(self.phrases)))
+        start = 0
+        for phrase, end in zip(self.phrases, bounds.tolist()):
+            yield phrase, values[start:end]
+            start = end
+
+
+class PhraseArena(SegmentTable):
+    """Contiguous packed-pair column + offsets index + phrase -> row table.
+
+    ``pairs`` is sorted within each segment (ascending packed value, i.e.
+    ascending TID); ``offsets`` has ``len(phrases) + 1`` entries.  The
+    arrays may be read-only views over a mapped data-pack — the arena
+    never mutates them.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(
+        self,
+        pairs: np.ndarray,
+        offsets: np.ndarray,
+        phrases: Iterable[str],
+    ):
+        super().__init__(offsets, phrases)
+        self.pairs = pairs
+
+    @property
+    def payload_bytes(self) -> int:
+        """4 bytes per pair, as the paper."""
+        return self.pair_count * 4
+
+    def segment(self, row: int) -> np.ndarray:
+        """The packed-pair view of one concept (no copy)."""
+        return self.pairs[int(self.offsets[row]) : int(self.offsets[row + 1])]
 
     def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Flattened pair values for many rows plus per-row end bounds.

@@ -4,303 +4,37 @@ The paper suggests its 400 MB/1M-concepts relevance store "can be even
 further reduced through ... integer compression techniques, such as
 Golomb Coding".  :class:`CompressedRelevanceStore` implements that
 variant as a working runtime store, not just an accounting exercise:
-each concept's sorted TID list is delta+Golomb coded and its 10-bit
-scores are bit-packed; lookups decode block-wise (byte/word-chunked
-Golomb, one vectorized numpy pass for the score stream) and an LRU
-cache keeps hot concepts decoded so repeated lookups skip
-decompression entirely.
+it is the packed store over a :class:`~repro.runtime.golomb.RiceArena`,
+which Golomb–Rice codes each concept's pair words at about half the
+packed size and decodes a document's candidate rows in one numpy batch.
+Scoring, mutation and building are the packed store's, so both stores
+give the same scores.
 
-The trade is the classic one: ~half the memory for slower cold
-scoring.  ``PackedRelevanceStore`` remains the hot-path choice; this
-store suits memory-constrained tiers (the paper's motivating 1M+
-concept scale).
+The trade is ~half the memory for a batch decode on every lookup.
+``PackedRelevanceStore`` remains the hot-path choice; this store suits
+memory-constrained tiers (the paper's motivating 1M+ concept scale).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.features.quantize import quantize
-from repro.features.relevance import RelevanceModel, stemmed_terms
-from repro.obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry, get_registry
-from repro.text.tokenized import DocumentLike
-from repro.runtime.arena import as_tid_context, sorted_membership
-from repro.runtime.golomb import (
-    BitWriter,
-    golomb_decode_array,
-    golomb_encode,
-    unpack_fixed_width,
-)
-from repro.runtime.tid import (
-    MAX_SCORE_CODE,
-    SCORE_BITS,
-    GlobalTidTable,
-    PackedRelevanceStore,
-    model_score_peak,
-)
-
-DEFAULT_DECODE_CACHE = 128
+from repro.runtime.golomb import RiceArena
+from repro.runtime.tid import PackedRelevanceStore
 
 
-@dataclass(frozen=True)
-class _CompressedEntry:
-    """One concept's compressed keyword data."""
-
-    count: int
-    golomb_m: int
-    tid_payload: bytes
-    score_payload: bytes
-
-
-def _pack_scores(codes) -> bytes:
-    writer = BitWriter()
-    for code in codes:
-        writer.write_bits(int(code), SCORE_BITS)
-    return writer.getvalue()
-
-
-def _unpack_scores(payload: bytes, count: int):
-    return unpack_fixed_width(payload, count, SCORE_BITS).tolist()
-
-
-class CompressedRelevanceStore:
-    """Relevance store with Golomb-coded TIDs and bit-packed scores.
+class CompressedRelevanceStore(PackedRelevanceStore):
+    """Relevance store over a Golomb–Rice coded arena.
 
     Exposes the same scoring protocol as
     :class:`~repro.runtime.tid.PackedRelevanceStore` (``context_stems``
     / ``score`` / ``score_many`` / ``score_text``), so it is a drop-in
-    for the runtime ranker.  *cache_size* bounds the LRU of decoded
-    (TID array, dequantized score array) pairs; 0 disables caching.
+    for the runtime ranker.  Its metrics carry ``store="compressed"``.
     """
 
-    def __init__(
-        self,
-        tid_table: GlobalTidTable,
-        score_max: float,
-        cache_size: int = DEFAULT_DECODE_CACHE,
-    ):
-        self._tids = tid_table
-        self.score_max = float(score_max)
-        self._entries: Dict[str, _CompressedEntry] = {}
-        self._cache: "OrderedDict[str, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._cache_size = int(cache_size)
-        # Per-store exact counters (a private registry keeps cache_info
-        # and the cache_hits/cache_misses attributes store-local, as the
-        # tests assert) mirrored into the process-wide aggregates.
-        local = MetricsRegistry()
-        self._m_hits = local.counter("decode_cache_hits")
-        self._m_misses = local.counter("decode_cache_misses")
-        self._m_evictions = local.counter("decode_cache_evictions")
-        registry = get_registry()
-        self._g_hits = registry.counter(
-            "relevance_decode_cache_hits_total",
-            help="decode-cache hits across compressed stores",
-        )
-        self._g_misses = registry.counter(
-            "relevance_decode_cache_misses_total",
-            help="decode-cache misses (cold decodes) across compressed stores",
-        )
-        self._g_evictions = registry.counter(
-            "relevance_decode_cache_evictions_total",
-            help="decode-cache LRU evictions across compressed stores",
-        )
-        self._g_batch = registry.histogram(
-            "relevance_score_many_phrases",
-            help="phrases per compressed score_many call",
-            buckets=DEFAULT_SIZE_BUCKETS,
-            store="compressed",
-        )
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._m_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._m_misses.value)
-
-    @property
-    def cache_evictions(self) -> int:
-        return int(self._m_evictions.value)
-
-    @property
-    def tid_table(self) -> GlobalTidTable:
-        return self._tids
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, phrase: str) -> bool:
-        return phrase.lower() in self._entries
-
-    def _store_entry(self, key: str, tids, codes) -> None:
-        payload, m = golomb_encode(tids)
-        self._entries[key] = _CompressedEntry(
-            count=len(tids),
-            golomb_m=m,
-            tid_payload=payload,
-            score_payload=_pack_scores(codes),
-        )
-        self._cache.pop(key, None)
-
-    def add(self, phrase: str, relevant_terms) -> None:
-        """Compress and store one concept's relevant terms.
-
-        Terms are sorted by TID; scores are stored in the same order so
-        the two streams stay aligned.
-        """
-        pairs = sorted(
-            (self._tids.assign(term), quantize(score, self.score_max, SCORE_BITS))
-            for term, score in relevant_terms
-        )
-        self._store_entry(
-            phrase.lower(),
-            [tid for tid, __ in pairs],
-            [code for __, code in pairs],
-        )
-
-    # -- decode cache ------------------------------------------------------
-
-    def _decode(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(sorted TID array, dequantized score array) for one concept."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._m_hits.inc()
-            self._g_hits.inc()
-            self._cache.move_to_end(key)
-            return cached
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._m_misses.inc()
-        self._g_misses.inc()
-        tids = golomb_decode_array(entry.tid_payload, entry.count, entry.golomb_m)
-        codes = unpack_fixed_width(entry.score_payload, entry.count, SCORE_BITS)
-        values = codes.astype(np.float64) / MAX_SCORE_CODE * self.score_max
-        decoded = (tids, values)
-        if self._cache_size > 0:
-            self._cache[key] = decoded
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-                self._m_evictions.inc()
-                self._g_evictions.inc()
-        return decoded
-
-    def cache_info(self) -> Dict[str, int]:
-        """Decode-cache counters.
-
-        Deprecated shim: the counts now live in observability counters
-        (``relevance_decode_cache_*_total`` in the process registry, and
-        the per-store ``cache_hits``/``cache_misses``/``cache_evictions``
-        properties this dict delegates to).  Kept for older benchmarks
-        and dashboards; prefer ``repro.obs.get_registry().snapshot()``.
-        """
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "size": len(self._cache),
-            "capacity": self._cache_size,
-        }
-
-    # -- RelevanceScorer protocol ------------------------------------------
-
-    def context_stems(self, text: DocumentLike) -> np.ndarray:
-        # Kernel-stamped documents map token ids straight to TIDs.
-        kernel = getattr(text, "_kernel", None)
-        if kernel is not None:
-            return kernel.tid_context(text, self._tids)
-        return self._tids.tid_context(stemmed_terms(text))
-
-    def score(self, phrase: str, context) -> float:
-        ctx = as_tid_context(context)
-        if ctx is None:
-            return 0.0
-        decoded = self._decode(phrase.lower())
-        if decoded is None:
-            return 0.0
-        tids, values = decoded
-        if not tids.size:
-            return 0.0
-        mask = sorted_membership(ctx, tids)
-        if not mask.any():
-            return 0.0
-        # Left-to-right scalar accumulation: bit-identical to the seed loop.
-        total = 0.0
-        for value in values[mask].tolist():
-            total += value
-        return total
-
-    def score_many(self, phrases: Sequence[str], context) -> np.ndarray:
-        """Per-phrase scores for one shared context (cache-amortized)."""
-        self._g_batch.observe(len(phrases))
-        out = np.zeros(len(phrases))
-        ctx = as_tid_context(context)
-        if ctx is None:
-            return out
-        for index, phrase in enumerate(phrases):
-            out[index] = self.score(phrase, ctx)
-        return out
-
-    def score_text(self, phrase: str, text: str) -> float:
-        return self.score(phrase, self.context_stems(text))
-
-    # -- storage accounting ---------------------------------------------------
-
-    def memory_bytes(self) -> int:
-        """Bytes of compressed keyword storage."""
-        return sum(
-            len(entry.tid_payload) + len(entry.score_payload)
-            for entry in self._entries.values()
-        )
+    _arena_type = RiceArena
+    _store_label = "compressed"
 
     @classmethod
-    def build(
-        cls,
-        model: RelevanceModel,
-        tid_table: Optional[GlobalTidTable] = None,
-        score_max: Optional[float] = None,
-        cache_size: int = DEFAULT_DECODE_CACHE,
-    ) -> "CompressedRelevanceStore":
-        """Build from an offline relevance model.
-
-        Pass *score_max* to skip the full-model peak scan when the
-        quantizer scale is already known (e.g. from a packed store built
-        over the same model).
-        """
-        if score_max is None:
-            score_max = model_score_peak(model) or 1.0
-        if tid_table is None:
-            tid_table = GlobalTidTable()
-        store = cls(tid_table, score_max=score_max, cache_size=cache_size)
-        for phrase in model.phrases():
-            store.add(phrase, model.relevant_terms(phrase))
-        return store
-
-    @classmethod
-    def from_packed(
-        cls,
-        packed: PackedRelevanceStore,
-        cache_size: int = DEFAULT_DECODE_CACHE,
-    ) -> "CompressedRelevanceStore":
-        """Convert a packed store (shares the TID table and score scale).
-
-        Reuses ``packed.score_max`` — no model re-scan — and reads the
-        TID/score columns straight out of the packed store's arena.
-        """
-        store = cls(
-            packed.tid_table, score_max=packed.score_max, cache_size=cache_size
-        )
-        for phrase, segment in packed.arena().segments():
-            store._store_entry(
-                phrase,
-                (segment >> SCORE_BITS).tolist(),
-                (segment & MAX_SCORE_CODE).tolist(),
-            )
-        return store
+    def from_packed(cls, packed: PackedRelevanceStore) -> "CompressedRelevanceStore":
+        """Encode a packed store (shares the TID table and score scale)."""
+        arena = RiceArena.from_packed(packed.arena())
+        return cls.from_arena(packed.tid_table, packed.score_max, arena)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.detection.base import Detection
 from repro.detection.pipeline import AnnotatedDocument, ShortcutsPipeline
@@ -55,12 +55,10 @@ from repro.obs import (
 from repro.obs.trace import mark_stage, stage_tracking_enabled
 from repro.ranking.model import ConceptRanker, FeatureAssembler
 from repro.ranking.ranksvm import RankSVM
-from repro.runtime.compressed import CompressedRelevanceStore
 from repro.runtime.store import QuantizedInterestingnessStore
 from repro.runtime.tid import PackedRelevanceStore
 from repro.text.tokenized import TokenizedDocument
 
-RelevanceStore = Union[PackedRelevanceStore, CompressedRelevanceStore]
 
 _STAGES = ("stemmer", "detect", "features", "rank")
 
@@ -273,7 +271,7 @@ class RankerService:
         self,
         pipeline: ShortcutsPipeline,
         interestingness_store: QuantizedInterestingnessStore,
-        relevance_store: Optional[RelevanceStore],
+        relevance_store: Optional[PackedRelevanceStore],
         model: RankSVM,
         exclude_groups: Tuple[str, ...] = (),
         registry: Optional[MetricsRegistry] = None,
@@ -367,10 +365,10 @@ class RankerService:
         """Measure the serving stores' payload bytes into the registry.
 
         Sets ``resident_bytes{component=...}`` gauges for the quantized
-        interestingness matrix, the relevance arena (including a
-        compressed store's decode cache), and the feature arena, and
-        returns the measured map — the ``/debug/heap`` surface calls
-        this per scrape, so the gauges track cache growth live.
+        interestingness matrix, the relevance arena (packed or
+        Golomb–Rice coded), and the feature arena, and returns the
+        measured map — the ``/debug/heap`` surface calls this per
+        scrape, so the gauges track arena growth live.
         """
         from repro.obs.profile import record_resident_bytes
 

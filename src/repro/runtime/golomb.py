@@ -1,207 +1,147 @@
-"""Golomb coding for compressed term-id lists (paper Section VI).
+"""Golomb–Rice coded relevance arena (paper Section VI).
 
 The paper notes the 400 MB relevance store "can be even further reduced
 through ... integer compression techniques, such as Golomb Coding".
-Sorted TID lists are delta-encoded and each gap is Golomb-coded with
-parameter M: quotient in unary, remainder in truncated binary.
+:class:`RiceArena` codes each concept's sorted 32-bit pair words
+(``TID << 10 | score code``) with a Rice code, the Golomb code with
+m = 2^L, laid out as Elias–Fano (Vigna, "Quasi-succinct indices", WSDM
+2013): the low L bits of every word sit in a fixed-width column and the
+high parts in a unary bit-stream, so numpy decodes a whole batch of
+rows at once.  The highs are ``flatnonzero(unpackbits(upper)) -
+arange(n)`` and the lows one vectorized bit-field read; no bit is read
+in a Python loop, so no decoded list needs caching.
 
-The bit streams are MSB-first and byte-compatible with the original
-bit-at-a-time implementation, but both ends now work block-wise: the
-writer accumulates whole fields into an integer and flushes bytes in
-one shot, the reader refills a multi-byte window and consumes unary
-runs with integer bit tricks instead of a per-bit loop, and fixed-width
-fields (the 10-bit score stream) decode in a single vectorized numpy
-pass via :func:`unpack_fixed_width`.
+Each concept picks the L that minimizes its coded size, n·L +
+(max_word >> L) bits.  The arena has
+:class:`~repro.runtime.arena.PhraseArena`'s read interface and
+:meth:`RiceArena.gather` returns exactly the ``(values, bounds)`` the
+packed arena would, so the packed store's scorer serves it unchanged.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
+from repro.runtime.arena import PhraseArena, SegmentTable
 
-class BitWriter:
-    """Append-only bit buffer (byte-chunked, MSB-first)."""
+_WIDTHS = np.arange(33, dtype=np.int64)  # candidate L for 32-bit words
+_WINDOW = 8  # bytes per low-field read: 7 bits of skew + 32 of field fit
 
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0  # pending bits, right-aligned
-        self._pending = 0
-        self._total = 0
 
-    def write_bits(self, value: int, width: int) -> None:
-        """Append *width* bits of *value*, most significant first."""
-        if width <= 0:
-            return
-        self._acc = (self._acc << width) | (value & ((1 << width) - 1))
-        self._pending += width
-        self._total += width
-        if self._pending >= 8:
-            keep = self._pending & 7
-            emit = self._pending - keep
-            self._bytes += (self._acc >> keep).to_bytes(emit >> 3, "big")
-            self._acc &= (1 << keep) - 1
-            self._pending = keep
+class RiceArena(SegmentTable):
+    """Sorted pair words, Golomb–Rice coded in Elias–Fano layout.
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(1 if bit else 0, 1)
+    Row *i* codes its ``n`` words with low width ``L = widths[i]``.
+    ``upper`` bytes ``upper_offsets[i]:upper_offsets[i+1]`` hold the
+    high parts in unary: word *j* sets bit ``(word >> L) + j``.
+    ``lower`` holds every row's L-bit low fields back to back, row *i*
+    starting at bit ``lower_offsets[i]``.  Bit *k* of either stream is
+    bit ``k & 7`` of byte ``k >> 3``.  Build one with
+    :meth:`from_packed` or :meth:`from_segments`.
+    """
 
-    def write_unary(self, value: int) -> None:
-        """*value* one-bits followed by a terminating zero."""
-        full, rest = divmod(value, 32)
-        for __ in range(full):
-            self.write_bits(0xFFFFFFFF, 32)
-        self.write_bits(((1 << rest) - 1) << 1, rest + 1)
+    __slots__ = (
+        "widths", "upper", "upper_offsets", "lower", "lower_offsets",
+        "_table", "_windows",
+    )
 
-    def getvalue(self) -> bytes:
-        if not self._pending:
-            return bytes(self._bytes)
-        tail = (self._acc << (8 - self._pending)) & 0xFF
-        return bytes(self._bytes) + bytes([tail])
+    def __init__(
+        self, offsets, phrases, widths, upper, upper_offsets, lower, lower_offsets
+    ):
+        super().__init__(offsets, phrases)
+        self.widths = widths
+        self.upper = upper
+        self.upper_offsets = upper_offsets
+        # zero padding keeps every 8-byte window read inside the buffer
+        self.lower = np.concatenate([lower, np.zeros(_WINDOW, dtype=np.uint8)])
+        self.lower_offsets = lower_offsets
+        # the per-row fields gather() reads, one column per row so one
+        # fancy index fetches them all: count, upper bytes, upper start,
+        # lower start, width, low mask
+        self._table = np.stack([
+            np.diff(offsets), np.diff(upper_offsets), upper_offsets[:-1],
+            lower_offsets[:-1], widths, (1 << widths) - 1,
+        ])
+        # little-endian int64 read at every byte offset of the lows
+        self._windows = np.ndarray(
+            (len(self.lower) - _WINDOW + 1,), dtype="<i8",
+            buffer=self.lower, strides=(1,),
+        )
 
     @property
-    def bit_length(self) -> int:
-        return self._total
+    def payload_bytes(self) -> int:
+        """Bytes of the two coded streams (the row index excluded)."""
+        return len(self.upper) + (int(self.lower_offsets[-1]) + 7) // 8
 
+    def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode many rows in one numpy batch: :meth:`PhraseArena.gather`."""
+        table = self._table[:, rows]
+        counts = table[0].copy()
+        bounds = np.cumsum(counts)
+        total = int(bounds[-1]) if len(bounds) else 0
+        if total == 0:
+            return np.zeros(0, dtype=np.uint32), bounds
+        sizes = table[1]
+        ends = np.cumsum(sizes)
+        flat = np.repeat(table[2] - ends + sizes, sizes) + np.arange(int(ends[-1]))
+        bits = np.unpackbits(self.upper[flat], bitorder="little")
+        # flatnonzero over a bool view: same positions, half the time
+        ones = bits.view(np.bool_).nonzero()[0]
+        # per-word copies of: first word, upper bit base, lower start,
+        # width, low mask of the word's row
+        table[0] = bounds - counts
+        table[1] = 8 * (ends - sizes)
+        first, base, __, start, width, mask = np.repeat(table, counts, axis=1)
+        local = np.arange(total) - first
+        high = ones - base - local
+        position = start + local * width
+        low = (self._windows[position >> 3] >> (position & 7)) & mask
+        return ((high << width) | low).astype(np.uint32), bounds
 
-class BitReader:
-    """Sequential bit reader over bytes (word-chunked refills)."""
+    @classmethod
+    def from_packed(cls, arena: PhraseArena) -> "RiceArena":
+        """Encode a packed arena's ``pairs``/``offsets`` in one pass."""
+        offsets = np.asarray(arena.offsets, dtype=np.int64)
+        words = np.asarray(arena.pairs, dtype=np.int64)
+        counts = np.diff(offsets)
+        row_of = np.repeat(np.arange(len(counts)), counts)
+        local = np.arange(len(words)) - offsets[:-1][row_of]
+        if (np.diff(words)[local[1:] > 0] < 0).any():
+            raise ValueError("arena segments must be sorted")
+        top = np.zeros(len(counts), dtype=np.int64)
+        filled = counts > 0
+        top[filled] = words[offsets[1:][filled] - 1]
+        widths = np.argmin(
+            counts[:, None] * _WIDTHS + (top[:, None] >> _WIDTHS), axis=1
+        )
+        width = widths[row_of]
 
-    def __init__(self, data):
-        self._data = data
-        self._length = len(data)
-        self._position = 0  # next byte to pull into the window
-        self._acc = 0
-        self._avail = 0
+        upper_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(((top >> widths) + counts + 7) >> 3, out=upper_offsets[1:])
+        bits = np.zeros(8 * int(upper_offsets[-1]), dtype=np.bool_)
+        bits[8 * upper_offsets[:-1][row_of] + (words >> width) + local] = True
+        upper = np.packbits(bits, bitorder="little")
 
-    def _refill(self, need: int) -> None:
-        while self._avail < need:
-            if self._position >= self._length:
-                raise EOFError("bit stream exhausted")
-            step = min(8, self._length - self._position)
-            chunk = self._data[self._position : self._position + step]
-            self._acc = (self._acc << (8 * step)) | int.from_bytes(chunk, "big")
-            self._avail += 8 * step
-            self._position += step
+        lower_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts * widths, out=lower_offsets[1:])
+        position = lower_offsets[:-1][row_of] + local * width
+        low = (words & ((1 << width) - 1)).astype(np.uint64)
+        shift = (position & 63).astype(np.uint64)
+        lanes = np.zeros((int(lower_offsets[-1]) >> 6) + 2, dtype=np.uint64)
+        np.bitwise_or.at(lanes, position >> 6, low << shift)
+        # a field crossing a lane boundary spills its top bits into the
+        # next lane ((x >> 1) >> (63 - s) is x >> (64 - s), also for s = 0)
+        spill = (low >> np.uint64(1)) >> (np.uint64(63) - shift)
+        np.bitwise_or.at(lanes, (position >> 6) + 1, spill)
+        lower_bytes = (int(lower_offsets[-1]) + 7) >> 3
+        lower = lanes.astype("<u8", copy=False).view(np.uint8)[:lower_bytes]
+        return cls(
+            offsets, arena.phrases, widths, upper, upper_offsets, lower, lower_offsets
+        )
 
-    def read_bits(self, width: int) -> int:
-        if width <= 0:
-            return 0
-        self._refill(width)
-        self._avail -= width
-        value = self._acc >> self._avail
-        self._acc &= (1 << self._avail) - 1
-        return value
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)
-
-    def read_unary(self) -> int:
-        count = 0
-        while True:
-            if self._avail == 0:
-                self._refill(1)
-            all_ones = (1 << self._avail) - 1
-            if self._acc == all_ones:
-                # the whole window is ones: consume it and keep scanning
-                count += self._avail
-                self._acc = 0
-                self._avail = 0
-                continue
-            # highest zero bit of the window is the unary terminator
-            top_zero = (self._acc ^ all_ones).bit_length() - 1
-            count += self._avail - 1 - top_zero
-            self._avail = top_zero
-            self._acc &= (1 << top_zero) - 1
-            return count
-
-
-def unpack_fixed_width(payload, count: int, width: int) -> np.ndarray:
-    """Decode *count* MSB-first *width*-bit integers in one numpy pass."""
-    if count <= 0:
-        return np.zeros(0, dtype=np.int64)
-    bits = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), count=count * width
-    )
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-    return bits.reshape(count, width) @ weights
-
-
-def _golomb_write(writer: BitWriter, value: int, m: int) -> None:
-    quotient, remainder = divmod(value, m)
-    writer.write_unary(quotient)
-    # truncated binary for the remainder
-    width = max(1, math.ceil(math.log2(m))) if m > 1 else 0
-    if m == 1:
-        return
-    cutoff = (1 << width) - m
-    if remainder < cutoff:
-        writer.write_bits(remainder, width - 1)
-    else:
-        writer.write_bits(remainder + cutoff, width)
-
-
-def _golomb_read(reader: BitReader, m: int) -> int:
-    quotient = reader.read_unary()
-    if m == 1:
-        return quotient
-    width = max(1, math.ceil(math.log2(m)))
-    cutoff = (1 << width) - m
-    remainder = reader.read_bits(width - 1) if width > 1 else 0
-    if remainder >= cutoff:
-        remainder = (remainder << 1) | reader.read_bit()
-        remainder -= cutoff
-    return quotient * m + remainder
-
-
-def optimal_parameter(sorted_values: Sequence[int]) -> int:
-    """The classic M ~ 0.69 * mean(gap) rule of thumb."""
-    if not len(sorted_values):
-        return 1
-    span = int(sorted_values[-1]) + 1
-    mean_gap = span / len(sorted_values)
-    return max(1, int(round(0.69 * mean_gap)))
-
-
-def golomb_encode(sorted_values: Sequence[int], m: int = None) -> Tuple[bytes, int]:
-    """Encode a strictly increasing integer sequence.
-
-    Returns (payload, m).  Values are delta-encoded (first value is its
-    own gap from -1 minus one, so zero gaps never occur).
-    """
-    values = [int(v) for v in sorted_values]
-    for left, right in zip(values, values[1:]):
-        if right <= left:
-            raise ValueError("values must be strictly increasing")
-    if any(v < 0 for v in values):
-        raise ValueError("values must be non-negative")
-    if m is None:
-        m = optimal_parameter(values)
-    if m < 1:
-        raise ValueError("parameter m must be >= 1")
-    writer = BitWriter()
-    previous = -1
-    for value in values:
-        _golomb_write(writer, value - previous - 1, m)
-        previous = value
-    return writer.getvalue(), m
-
-
-def golomb_decode(payload, count: int, m: int) -> List[int]:
-    """Decode *count* values encoded by :func:`golomb_encode`."""
-    reader = BitReader(payload)
-    values: List[int] = []
-    previous = -1
-    for __ in range(count):
-        gap = _golomb_read(reader, m)
-        previous = previous + gap + 1
-        values.append(previous)
-    return values
-
-
-def golomb_decode_array(payload, count: int, m: int) -> np.ndarray:
-    """:func:`golomb_decode` into a ``uint32`` array (store decode path)."""
-    values = golomb_decode(payload, count, m)
-    return np.fromiter(values, dtype=np.uint32, count=count)
+    @classmethod
+    def from_segments(cls, items: Iterable[Tuple[str, np.ndarray]]) -> "RiceArena":
+        """Encode per-phrase sorted pair arrays (see :meth:`from_packed`)."""
+        return cls.from_packed(PhraseArena.from_segments(items))

@@ -31,10 +31,10 @@ from repro.runtime.arena import (
     SCORE_BITS,
     TID_BITS,
     PhraseArena,
+    SegmentTable,
     as_tid_context,
     sorted_membership,
 )
-from repro.runtime.golomb import golomb_encode
 
 __all__ = [
     "TID_BITS",
@@ -162,26 +162,30 @@ class PackedRelevanceStore:
     ``score``/``score_many``.  Mutations stage per-phrase arrays; the
     first lookup finalizes them into a columnar
     :class:`~repro.runtime.arena.PhraseArena` (data-pack loads adopt a
-    ready arena directly, zero-copy).
+    ready arena directly, zero-copy).  A subclass swaps in another
+    arena with the same read interface through ``_arena_type``.
     """
+
+    _arena_type = PhraseArena
+    _store_label = "packed"  # the ``store`` label of its metrics
 
     def __init__(self, tid_table: GlobalTidTable, score_max: float):
         self._tids = tid_table
         self.score_max = float(score_max)
         self._staged: Dict[str, np.ndarray] = {}
-        self._arena: Optional[PhraseArena] = None
+        self._arena: Optional[SegmentTable] = None
         self._backing = None  # keeps a mapped data-pack alive
         registry = get_registry()
         self._m_lookups = registry.counter(
             "relevance_lookups_total",
             help="single-phrase relevance lookups",
-            store="packed",
+            store=self._store_label,
         )
         self._m_batch = registry.histogram(
             "relevance_score_many_phrases",
-            help="phrases per packed score_many call",
+            help="phrases per score_many call",
             buckets=DEFAULT_SIZE_BUCKETS,
-            store="packed",
+            store=self._store_label,
         )
 
     @property
@@ -233,19 +237,17 @@ class PackedRelevanceStore:
         if self._arena is None:
             yield from staged.items()
             return
-        for row, phrase in enumerate(self._arena.phrases):
+        for phrase, segment in self._arena.segments():
             override = staged.get(phrase)
-            yield phrase, (
-                override if override is not None else self._arena.segment(row)
-            )
+            yield phrase, override if override is not None else segment
         for phrase, array in staged.items():
             if phrase not in self._arena.rows:
                 yield phrase, array
 
-    def arena(self) -> PhraseArena:
+    def arena(self) -> SegmentTable:
         """The finalized columnar arena (staged mutations merged in)."""
         if self._arena is None or self._staged:
-            self._arena = PhraseArena.from_segments(self._iter_segments())
+            self._arena = self._arena_type.from_segments(self._iter_segments())
             self._staged = {}
         return self._arena
 
@@ -346,23 +348,8 @@ class PackedRelevanceStore:
     # -- storage accounting ------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Bytes of packed pair storage (4 bytes per pair, as the paper)."""
-        return self.arena().pair_count * 4
-
-    def compressed_bytes(self) -> int:
-        """Bytes if every concept's TID list were Golomb-coded.
-
-        Scores stay at 10 bits each; TIDs are delta+Golomb coded.  This
-        quantifies the paper's suggested optimization.
-        """
-        total_bits = 0
-        for __, segment in self.arena().segments():
-            tids = np.unique(segment >> SCORE_BITS)
-            if tids.size:
-                payload, __m = golomb_encode(tids.tolist())
-                total_bits += len(payload) * 8
-            total_bits += segment.size * SCORE_BITS
-        return (total_bits + 7) // 8
+        """Bytes of pair storage (4 per pair in a packed arena, as the paper)."""
+        return self.arena().payload_bytes
 
     @classmethod
     def build(
@@ -390,7 +377,7 @@ class PackedRelevanceStore:
         cls,
         tid_table: GlobalTidTable,
         score_max: float,
-        arena: PhraseArena,
+        arena: SegmentTable,
         backing=None,
     ) -> "PackedRelevanceStore":
         """Adopt a ready-made arena (the zero-copy data-pack load path).

@@ -3,9 +3,8 @@
 Covers the new ``repro.obs`` package (counters/gauges/histograms with
 per-thread shards, span tracing with 1-in-N sampling, exposition) and
 the instrumentation contracts the runtime now depends on: the legacy
-``TimingStats`` API riding on registry counters, the compressed store's
-``cache_info`` shim matching the old LRU accounting exactly, and the
-service/builder span surfaces.
+``TimingStats`` API riding on registry counters and the service/builder
+span surfaces.
 """
 
 import json
@@ -36,7 +35,6 @@ from repro.obs import (
 )
 from repro.ranking import RankSVM
 from repro.runtime import (
-    CompressedRelevanceStore,
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
     RankerService,
@@ -538,90 +536,6 @@ class TestTimingStats:
         second = TimingStats()  # a reset_stats() replacement
         second.documents = 1
         assert first.documents == 5
-
-
-def _reference_lru(capacity, keys):
-    """The seed's LRU accounting, replayed independently."""
-    from collections import OrderedDict
-
-    cache, hits, misses, evictions = OrderedDict(), 0, 0, 0
-    for key in keys:
-        if key in cache:
-            hits += 1
-            cache.move_to_end(key)
-            continue
-        misses += 1
-        if capacity > 0:
-            cache[key] = True
-            if len(cache) > capacity:
-                cache.popitem(last=False)
-                evictions += 1
-    return hits, misses, evictions, len(cache)
-
-
-class TestDecodeCacheCounters:
-    @pytest.fixture()
-    def store(self):
-        model = RelevanceModel(
-            {
-                f"concept {index}": [(f"term{index}a", 1.0), (f"term{index}b", 0.5)]
-                for index in range(6)
-            }
-        )
-        return CompressedRelevanceStore.build(model, cache_size=3)
-
-    def test_cache_info_matches_reference_lru(self, store):
-        """New counters reproduce the old LRU accounting exactly."""
-        phrases = [f"concept {index}" for index in range(6)]
-        pattern = (
-            phrases[:4] + phrases[:2] + phrases[4:] + phrases[:1] + phrases[3:5]
-        )
-        context = {tid for __, tid in store.tid_table.items()}
-        for phrase in pattern:
-            store.score(phrase, context)
-        hits, misses, evictions, size = _reference_lru(
-            3, [p.lower() for p in pattern]
-        )
-        info = store.cache_info()
-        assert info["hits"] == hits
-        assert info["misses"] == misses
-        assert info["evictions"] == evictions
-        assert info["size"] == size
-        assert info["capacity"] == 3
-
-    def test_counters_are_per_store(self, store):
-        other = CompressedRelevanceStore.from_packed(
-            PackedRelevanceStore.build(
-                RelevanceModel({"solo": [("term", 1.0)]})
-            )
-        )
-        context = {tid for __, tid in store.tid_table.items()}
-        store.score("concept 0", context)
-        assert store.cache_misses == 1
-        assert other.cache_misses == 0
-
-    def test_global_aggregate_counters(self, store):
-        previous = set_registry(MetricsRegistry())
-        try:
-            fresh = CompressedRelevanceStore.from_packed(
-                PackedRelevanceStore.build(
-                    RelevanceModel({"solo": [("term", 1.0)]})
-                )
-            )
-            context = {tid for __, tid in fresh.tid_table.items()}
-            fresh.score("solo", context)
-            fresh.score("solo", context)
-            snap = get_registry().snapshot()
-            assert (
-                snap["relevance_decode_cache_misses_total"]["series"][0]["value"]
-                == 1.0
-            )
-            assert (
-                snap["relevance_decode_cache_hits_total"]["series"][0]["value"]
-                == 1.0
-            )
-        finally:
-            set_registry(previous)
 
 
 class TestServiceInstrumentation:

@@ -109,7 +109,11 @@ class TestStackSampler:
             thread.start()
         try:
             with sampler:
-                time.sleep(0.5)
+                # wait for the ticks rather than a fixed time: under CPU
+                # contention the sampler thread may run late
+                deadline = time.monotonic() + 10.0
+                while sampler.sample_ticks <= 10 and time.monotonic() < deadline:
+                    time.sleep(0.05)
         finally:
             stop.set()
             for thread in threads:
@@ -378,12 +382,20 @@ class TestResidentBytes:
             def __init__(self):
                 self.column = np.ones(64, dtype=np.float64)
 
+        class SlottedChild(Slotted):  # inherited slots count too
+            __slots__ = ("extra",)
+
+            def __init__(self):
+                super().__init__()
+                self.extra = np.ones(4, dtype=np.uint8)
+
         class Store:
             def __init__(self):
                 self.inner = Slotted()
+                self.child = SlottedChild()
                 self.blob = b"0123456789"
 
-        expected = 64 * 8 + 10
+        expected = 64 * 8 + (64 * 8 + 4) + 10
         assert resident_bytes(Store()) == expected
 
     def test_depth_bound_and_cycles_are_safe(self):

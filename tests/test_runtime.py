@@ -1,4 +1,4 @@
-"""Tests for the production runtime: Golomb, TID stores, ranker service."""
+"""Tests for the production runtime: TID stores and the ranker service."""
 
 import numpy as np
 import pytest
@@ -10,64 +10,14 @@ from repro.ranking import RankSVM
 from repro.runtime import (
     MAX_SCORE_CODE,
     MAX_TID,
+    CompressedRelevanceStore,
     GlobalTidTable,
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
     RankerService,
-    golomb_decode,
-    golomb_encode,
-    optimal_parameter,
     pack_pair,
     unpack_pair,
 )
-
-
-class TestGolomb:
-    def test_round_trip_simple(self):
-        values = [1, 5, 9, 200, 201, 5000]
-        payload, m = golomb_encode(values)
-        assert golomb_decode(payload, len(values), m) == values
-
-    def test_round_trip_various_m(self):
-        values = [0, 3, 17, 64, 65, 1000]
-        for m in (1, 2, 3, 7, 8, 100):
-            payload, __ = golomb_encode(values, m)
-            assert golomb_decode(payload, len(values), m) == values
-
-    def test_empty(self):
-        payload, m = golomb_encode([])
-        assert golomb_decode(payload, 0, m) == []
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            golomb_encode([3, 2])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            golomb_encode([2, 2])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            golomb_encode([-1, 4])
-
-    def test_compresses_dense_lists(self):
-        values = list(range(0, 2000, 2))
-        payload, __ = golomb_encode(values)
-        assert len(payload) < 1000 * 4  # beats raw 32-bit storage
-
-    def test_optimal_parameter_positive(self):
-        assert optimal_parameter([]) == 1
-        assert optimal_parameter([10, 20, 30]) >= 1
-
-    @given(
-        st.sets(st.integers(0, 100000), min_size=1, max_size=60),
-        st.integers(1, 500),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_property(self, values, m):
-        ordered = sorted(values)
-        payload, __ = golomb_encode(ordered, m)
-        assert golomb_decode(payload, len(ordered), m) == ordered
 
 
 class TestPackedPairs:
@@ -154,7 +104,8 @@ class TestPackedRelevanceStore:
         phrases = [c.phrase for c in env_world.concepts[:12]]
         model = RelevanceModel.mine_all(env_miner, phrases)
         store = PackedRelevanceStore.build(model)
-        assert store.compressed_bytes() < store.memory_bytes()
+        compressed = CompressedRelevanceStore.from_packed(store)
+        assert compressed.memory_bytes() < store.memory_bytes()
 
     def test_shared_tids_across_concepts(self, env_world, env_miner):
         """Related concepts share keywords, so TIDs grow sub-linearly."""

@@ -1,4 +1,4 @@
-"""Tests for the columnar arena, vectorized scoring, and decode cache.
+"""Tests for the columnar arenas (packed and Rice coded) and scoring.
 
 The golden requirement: the vectorized arena lookups must reproduce the
 seed per-element loop *byte-identically* — same dequantize arithmetic,
@@ -8,22 +8,19 @@ exact equality, never approx.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features import RelevanceModel
 from repro.features.quantize import dequantize
 from repro.runtime import (
-    BitReader,
-    BitWriter,
     CompressedRelevanceStore,
     GlobalTidTable,
     PackedRelevanceStore,
     PhraseArena,
+    RiceArena,
     as_tid_context,
-    golomb_decode,
-    golomb_decode_array,
-    golomb_encode,
     sorted_membership,
-    unpack_fixed_width,
     unpack_pair,
 )
 from repro.runtime.tid import MAX_SCORE_CODE, MAX_TID, SCORE_BITS, pack_pair
@@ -86,8 +83,9 @@ class TestPhraseArena:
         assert arena.phrases == []
         assert arena.offsets.tolist() == [0]
 
-    def test_gather_flattens_requested_rows(self):
-        arena = PhraseArena.from_segments(
+    @pytest.mark.parametrize("arena_type", [PhraseArena, RiceArena])
+    def test_gather_flattens_requested_rows(self, arena_type):
+        arena = arena_type.from_segments(
             [
                 ("a", np.asarray([10, 11], dtype=np.uint32)),
                 ("b", np.asarray([20], dtype=np.uint32)),
@@ -98,8 +96,9 @@ class TestPhraseArena:
         assert values.tolist() == [30, 31, 32, 10, 11]
         assert bounds.tolist() == [3, 5]
 
-    def test_gather_with_empty_rows(self):
-        arena = PhraseArena.from_segments(
+    @pytest.mark.parametrize("arena_type", [PhraseArena, RiceArena])
+    def test_gather_with_empty_rows(self, arena_type):
+        arena = arena_type.from_segments(
             [
                 ("a", np.zeros(0, dtype=np.uint32)),
                 ("b", np.asarray([7], dtype=np.uint32)),
@@ -192,8 +191,11 @@ class TestGoldenScoring:
                     packed_store, phrase, context
                 )
 
-    def test_mutation_after_finalize(self, packed_store):
-        store = PackedRelevanceStore.build(synthetic_model(concepts=5))
+    @pytest.mark.parametrize(
+        "store_type", [PackedRelevanceStore, CompressedRelevanceStore]
+    )
+    def test_mutation_after_finalize(self, store_type):
+        store = store_type.build(synthetic_model(concepts=5))
         store.score("concept 0", {0, 1})  # finalize the arena
         store.add("late arrival", (("term0", 3.0), ("brandnew", 1.0)))
         context = {store.tid_table.lookup("term0")}
@@ -201,129 +203,12 @@ class TestGoldenScoring:
         assert store.score("late arrival", context) == seed_score(
             store, "late arrival", context
         )
-
-
-class TestGolombBlockwise:
-    def test_round_trip_random_sequences(self):
-        rng = np.random.default_rng(3)
-        for __ in range(25):
-            count = int(rng.integers(1, 120))
-            values = np.unique(rng.integers(0, 50_000, size=count)).tolist()
-            payload, m = golomb_encode(values)
-            assert golomb_decode(payload, len(values), m) == values
-            assert golomb_decode_array(payload, len(values), m).tolist() == values
-
-    def test_writer_matches_bit_at_a_time_reference(self):
-        rng = np.random.default_rng(5)
-        fields = [
-            (int(rng.integers(0, 1 << width)), width)
-            for width in rng.integers(1, 30, size=60).tolist()
-        ]
-        writer = BitWriter()
-        reference_bits = []
-        for value, width in fields:
-            writer.write_bits(value, width)
-            reference_bits.extend((value >> i) & 1 for i in range(width - 1, -1, -1))
-        while len(reference_bits) % 8:
-            reference_bits.append(0)
-        reference = bytes(
-            int("".join(map(str, reference_bits[i : i + 8])), 2)
-            for i in range(0, len(reference_bits), 8)
-        )
-        assert writer.getvalue() == reference
-
-    def test_reader_round_trips_writer(self):
-        rng = np.random.default_rng(9)
-        fields = [
-            (int(rng.integers(0, 1 << width)), width)
-            for width in rng.integers(1, 40, size=80).tolist()
-        ]
-        writer = BitWriter()
-        for value, width in fields:
-            writer.write_bits(value, width)
-        reader = BitReader(writer.getvalue())
-        for value, width in fields:
-            assert reader.read_bits(width) == value
-
-    def test_unary_long_runs(self):
-        writer = BitWriter()
-        lengths = [0, 1, 7, 31, 32, 33, 100, 257]
-        for length in lengths:
-            writer.write_unary(length)
-        reader = BitReader(writer.getvalue())
-        for length in lengths:
-            assert reader.read_unary() == length
-
-    def test_exhausted_reader_raises(self):
-        reader = BitReader(b"\x00")
-        reader.read_bits(8)
-        with pytest.raises(EOFError):
-            reader.read_bit()
-
-    def test_unpack_fixed_width_matches_reader(self):
-        rng = np.random.default_rng(21)
-        codes = rng.integers(0, 1 << SCORE_BITS, size=57).tolist()
-        writer = BitWriter()
-        for code in codes:
-            writer.write_bits(code, SCORE_BITS)
-        payload = writer.getvalue()
-        assert unpack_fixed_width(payload, len(codes), SCORE_BITS).tolist() == codes
-        reader = BitReader(payload)
-        assert [reader.read_bits(SCORE_BITS) for __ in codes] == codes
-
-    def test_unpack_fixed_width_empty(self):
-        assert unpack_fixed_width(b"", 0, SCORE_BITS).size == 0
-
-
-class TestDecodeCache:
-    def make_store(self, cache_size=2):
-        packed = PackedRelevanceStore.build(synthetic_model(concepts=6))
-        return (
-            CompressedRelevanceStore.from_packed(packed, cache_size=cache_size),
-            packed,
-        )
-
-    def test_hits_and_misses_counted(self):
-        store, packed = self.make_store(cache_size=8)
-        context = {tid for __, tid in packed.tid_table.items()}
-        store.score("concept 0", context)
-        store.score("concept 0", context)
-        store.score("concept 1", context)
-        info = store.cache_info()
-        assert info["misses"] == 2
-        assert info["hits"] == 1
-        assert info["size"] == 2
-
-    def test_lru_eviction_at_capacity(self):
-        store, packed = self.make_store(cache_size=2)
-        context = {tid for __, tid in packed.tid_table.items()}
-        store.score("concept 0", context)
-        store.score("concept 1", context)
-        store.score("concept 2", context)  # evicts concept 0
-        assert store.cache_info()["size"] == 2
-        store.score("concept 0", context)  # miss again
-        assert store.cache_info()["misses"] == 4
-
-    def test_cache_disabled(self):
-        store, packed = self.make_store(cache_size=0)
-        context = {tid for __, tid in packed.tid_table.items()}
-        first = store.score("concept 0", context)
-        assert store.score("concept 0", context) == first
-        info = store.cache_info()
-        assert info["size"] == 0
-        assert info["hits"] == 0
-        assert info["misses"] == 2
-
-    def test_add_invalidates_cached_entry(self):
-        store, packed = self.make_store(cache_size=4)
-        context = {tid for __, tid in packed.tid_table.items()}
-        store.score("concept 0", context)
+        # re-adding a looked-up concept replaces its pairs
         store.add("concept 0", (("term0", 5.0),))
-        tid = store.tid_table.lookup("term0")
         expected = dequantize(
             round(5.0 / store.score_max * MAX_SCORE_CODE), store.score_max, SCORE_BITS
         )
-        assert store.score("concept 0", {tid}) == expected
+        assert store.score("concept 0", context) == expected
 
 
 class TestBuildVersusFromPacked:
@@ -348,3 +233,88 @@ class TestBuildVersusFromPacked:
         packed = PackedRelevanceStore.build(model)
         reused = CompressedRelevanceStore.build(model, score_max=packed.score_max)
         assert reused.score_max == packed.score_max
+
+
+ALL_ONES = pack_pair(MAX_TID, MAX_SCORE_CODE)
+WORDS = st.one_of(st.just(ALL_ONES), st.integers(0, ALL_ONES))
+
+
+def _dense_run(start, gaps):
+    """Words a few apart (small low width); 0 gaps repeat a word."""
+    return np.minimum(start + np.cumsum(gaps), ALL_ONES).tolist()
+
+
+SEGMENTS = st.one_of(
+    st.just([]),
+    st.lists(WORDS, min_size=1, max_size=1),
+    st.builds(_dense_run, WORDS, st.lists(st.integers(0, 3), min_size=1, max_size=80)),
+    st.lists(WORDS, max_size=40),  # sparse: large low width
+    st.builds(  # one TID with several score codes
+        lambda tid, codes: [pack_pair(tid, code) for code in codes],
+        st.integers(0, MAX_TID),
+        st.lists(st.integers(0, MAX_SCORE_CODE), min_size=1, max_size=6),
+    ),
+)
+
+
+class TestRiceArena:
+    """The coded arena decodes to exactly the packed arena's values."""
+
+    @given(st.lists(SEGMENTS, max_size=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_packed_arena_and_store(self, segments, data):
+        items = [
+            (f"p{index}", np.sort(np.asarray(words, dtype=np.uint32)))
+            for index, words in enumerate(segments)
+        ]
+        packed_arena = PhraseArena.from_segments(items)
+        coded = RiceArena.from_segments(items)
+        assert coded.pair_count == packed_arena.pair_count
+        rows = np.asarray(
+            data.draw(st.lists(st.integers(0, len(items) - 1), max_size=24))
+            if items
+            else [],
+            dtype=np.int64,
+        )
+        values, bounds = coded.gather(rows)
+        expected_values, expected_bounds = packed_arena.gather(rows)
+        assert values.dtype == np.uint32
+        assert values.tolist() == expected_values.tolist()
+        assert bounds.tolist() == expected_bounds.tolist()
+        assert [s.tolist() for __, s in coded.segments()] == [
+            s.tolist() for __, s in packed_arena.segments()
+        ]
+
+        packed = PackedRelevanceStore.from_arena(GlobalTidTable(), 3.7, packed_arena)
+        compressed = CompressedRelevanceStore.from_packed(packed)
+        tids = {int(word) >> SCORE_BITS for __, words in items for word in words}
+        context = data.draw(st.sets(st.sampled_from(sorted(tids | {0, MAX_TID}))))
+        phrases = [f"p{row}" for row in rows.tolist()] + ["missing"]
+        assert (
+            compressed.score_many(phrases, context).tolist()
+            == packed.score_many(phrases, context).tolist()
+        )
+        for phrase in phrases:
+            assert compressed.score(phrase, context) == packed.score(phrase, context)
+
+    def test_low_width_tracks_density(self):
+        dense = np.arange(400, dtype=np.uint32)
+        sparse = np.asarray([3, 1 << 20, 1 << 30, ALL_ONES], dtype=np.uint32)
+        arena = RiceArena.from_segments(
+            [("dense", dense), ("sparse", sparse), ("empty", dense[:0])]
+        )
+        assert arena.widths.tolist()[0] == 0
+        assert arena.widths.tolist()[1] >= 28
+        assert arena.segment(0).tolist() == dense.tolist()
+        assert arena.segment(1).tolist() == sparse.tolist()
+        assert arena.segment(2).size == 0
+        assert arena.payload_bytes < PhraseArena.from_segments(
+            [("dense", dense)]
+        ).payload_bytes
+
+    def test_rejects_unsorted_segment(self):
+        with pytest.raises(ValueError, match="sorted"):
+            RiceArena.from_segments(
+                [("a", np.asarray([1, 9], dtype=np.uint32)),
+                 ("b", np.asarray([5, 2], dtype=np.uint32))]
+            )
