@@ -16,8 +16,8 @@ records:
 * per-path throughput in MB/s, plus the automaton path's speedups over
   the seed path and over the pure-Python single-pass path,
 * byte-equivalence of every path's ranked output,
-* a parallel `process_batch(workers=N)` equivalence + throughput check
-  (run with the kernel attached),
+* the service's per-stage throughput (``RankerService.throughput``),
+  read from a private registry that is reset before each timed pass,
 
 and writes a machine-readable snapshot to ``BENCH_hotpath.json`` so
 future PRs have a throughput trajectory to compare against.  When a
@@ -63,6 +63,7 @@ from repro.features import (
     stemmed_terms,
 )
 from repro.querylog import UnitMiner, query_log_for_world
+from repro.obs import MetricsRegistry
 from repro.ranking import RankSVM
 from repro.runtime import (
     PackedRelevanceStore,
@@ -89,8 +90,7 @@ HOTPATH_WORLD = WorldConfig(
 DOCUMENT_COUNT = int(os.environ.get("REPRO_BENCH_HOTPATH_DOCS", "300"))
 SMOKE_DOCUMENT_COUNT = 40
 RELEVANCE_PHRASES = 40
-BATCH_WORKERS = 4
-# the four timed paths are interleaved into this many rounds and the
+# the three timed paths are interleaved into this many rounds and the
 # per-path minimum over rounds is recorded.  Min-of-N is the standard
 # noise-robust estimator (timeit's default): host interference only
 # ever adds time, so the minimum is the measurement.  Interleaving
@@ -102,7 +102,8 @@ BATCH_WORKERS = 4
 BENCH_REPEATS = int(os.environ.get("REPRO_BENCH_HOTPATH_REPEATS", "3"))
 
 
-def build_service(document_count, with_quality=False, kernel=None):
+def build_service(document_count, with_quality=False, kernel=None,
+                  registry=None):
     """A RankerService over a small deterministic world, plus documents.
 
     *kernel* is forwarded to :class:`ShortcutsPipeline` (None here: the
@@ -112,6 +113,8 @@ def build_service(document_count, with_quality=False, kernel=None):
     With *with_quality* the service also carries a QualityMonitor and a
     DriftDetector baselined on the fresh store (both registering into
     the process-wide registry), matching the ``repro serve`` shape.
+    *registry* isolates the service's own metrics (default: the
+    process-wide registry).
     """
     world = SyntheticWorld.build(HOTPATH_WORLD)
     log = query_log_for_world(world)
@@ -158,7 +161,7 @@ def build_service(document_count, with_quality=False, kernel=None):
         drift = DriftDetector(DriftBaseline.from_store(interestingness))
     service = RankerService(
         pipeline, interestingness, relevance, svm,
-        quality=quality, drift=drift,
+        registry=registry, quality=quality, drift=drift,
     )
     documents = [
         story.text for story in world.story_generator(seed=4242).generate_many(
@@ -212,7 +215,9 @@ def seed_process(service, text, top=None):
 
 
 def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
-    service, documents = build_service(document_count)
+    service, documents = build_service(
+        document_count, registry=MetricsRegistry()
+    )
     total_bytes = sum(len(text.encode("utf-8")) for text in documents)
     count = len(documents)
 
@@ -231,7 +236,7 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
 
     infinity = float("inf")
     seed_seconds = single_seconds = infinity
-    automaton_seconds = parallel_seconds = infinity
+    automaton_seconds = infinity
 
     for _round in range(BENCH_REPEATS):
         # -- seed multi-pass shape (kernel detached) ----------------------
@@ -248,17 +253,17 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
         seed_calls_per_doc = tokenize_call_count() / count
 
         # -- single-pass service (pure-Python passes) ---------------------
-        service.reset_stats()
+        service.registry.reset()
         reset_tokenize_call_count()
         started = time.perf_counter()
         single_results = service.process_batch(documents, top=5)
         single_seconds = min(single_seconds, time.perf_counter() - started)
         single_calls_per_doc = tokenize_call_count() / count
-        stats = service.stats
+        rates = service.throughput()
 
         # -- compiled automaton kernel ------------------------------------
         service._pipeline.attach_kernel(kernel)
-        service.reset_stats()
+        service.registry.reset()
         reset_tokenize_call_count()
         reset_intern_call_count()
         started = time.perf_counter()
@@ -268,18 +273,7 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
         )
         automaton_tokenize_per_doc = tokenize_call_count() / count
         automaton_intern_per_doc = intern_call_count() / count
-        automaton_stats = service.stats
-
-        # -- parallel batch (kernel attached) -----------------------------
-        service.reset_stats()
-        started = time.perf_counter()
-        parallel_results = service.process_batch(
-            documents, top=5, workers=BATCH_WORKERS
-        )
-        parallel_seconds = min(
-            parallel_seconds, time.perf_counter() - started
-        )
-        parallel_stats = service.stats
+        automaton_rates = service.throughput()
 
     snapshot = {
         "config": {
@@ -287,7 +281,6 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
             "bytes": total_bytes,
             "world_seed": HOTPATH_WORLD.seed,
             "concepts": HOTPATH_WORLD.concept_count,
-            "workers": BATCH_WORKERS,
         },
         "tokenize_calls_per_document": {
             "seed_path": round(seed_calls_per_doc, 3),
@@ -301,10 +294,10 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
         "single_pass": {
             "seconds": round(single_seconds, 4),
             "mb_per_second": round(total_bytes / single_seconds / 1e6, 4),
-            "stemmer_mb_per_second": round(stats.stemmer_mb_per_second, 4),
-            "ranker_mb_per_second": round(stats.ranker_mb_per_second, 4),
-            "detection_mb_per_second": round(stats.detection_mb_per_second, 4),
-            "feature_mb_per_second": round(stats.feature_mb_per_second, 4),
+            "stemmer_mb_per_second": round(rates["stemmer"], 4),
+            "ranker_mb_per_second": round(rates["ranker"], 4),
+            "detection_mb_per_second": round(rates["detect"], 4),
+            "feature_mb_per_second": round(rates["features"], 4),
         },
         "automaton": {
             "seconds": round(automaton_seconds, 4),
@@ -316,25 +309,10 @@ def run_hotpath_benchmark(document_count=DOCUMENT_COUNT):
             "intern_calls_per_document": round(automaton_intern_per_doc, 3),
             "identical_to_seed_path": automaton_results == seed_results,
             "identical_to_pure_python": automaton_results == single_results,
-            "stemmer_mb_per_second": round(
-                automaton_stats.stemmer_mb_per_second, 4
-            ),
-            "ranker_mb_per_second": round(
-                automaton_stats.ranker_mb_per_second, 4
-            ),
-            "detection_mb_per_second": round(
-                automaton_stats.detection_mb_per_second, 4
-            ),
-            "feature_mb_per_second": round(
-                automaton_stats.feature_mb_per_second, 4
-            ),
-        },
-        "parallel_batch": {
-            "workers": BATCH_WORKERS,
-            "seconds": round(parallel_seconds, 4),
-            "mb_per_second": round(total_bytes / parallel_seconds / 1e6, 4),
-            "identical_to_sequential": parallel_results == automaton_results,
-            "documents": parallel_stats.documents,
+            "stemmer_mb_per_second": round(automaton_rates["stemmer"], 4),
+            "ranker_mb_per_second": round(automaton_rates["ranker"], 4),
+            "detection_mb_per_second": round(automaton_rates["detect"], 4),
+            "feature_mb_per_second": round(automaton_rates["features"], 4),
         },
         "results_identical_to_seed_path": single_results == seed_results,
     }
@@ -359,7 +337,6 @@ def check_snapshot(snapshot, smoke=False):
     assert calls["automaton"] <= 1.0, calls
     assert calls["seed_path"] >= 2 * calls["single_pass"], calls
     assert snapshot["results_identical_to_seed_path"]
-    assert snapshot["parallel_batch"]["identical_to_sequential"]
     assert (
         snapshot["single_pass"]["mb_per_second"]
         > snapshot["seed_path"]["mb_per_second"]
@@ -423,10 +400,6 @@ def report_lines(snapshot):
         f"detection {snapshot['single_pass']['detection_mb_per_second']:6.3f} MB/s, "
         f"features {snapshot['single_pass']['feature_mb_per_second']:6.3f} MB/s, "
         f"ranker {snapshot['single_pass']['ranker_mb_per_second']:6.3f} MB/s",
-        f"process_batch(workers={snapshot['parallel_batch']['workers']}): "
-        f"{snapshot['parallel_batch']['mb_per_second']:6.3f} MB/s, "
-        f"identical to sequential: "
-        f"{snapshot['parallel_batch']['identical_to_sequential']}",
     ]
 
 

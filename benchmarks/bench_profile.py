@@ -13,8 +13,8 @@ with the sampler disabled and enabled at the default 97 hz and records:
 * byte-equivalence of the ranked output with the profiler attached —
   profiling must observe the pipeline, never perturb it,
 * stage attribution: the sampler joins samples against the service's
-  stage marks, so the hot stages (``detect``/``rank``/``stemmer``)
-  must actually show up in ``stage_samples()``,
+  stage marks, so the service's stages (``stemmer``/``detect``/
+  ``features``/``rank``) must actually show up in ``stage_samples()``,
 * the ten hottest collapsed stacks, checked into the snapshot so the
   regression gate (``check_regressions.py``) can attach *where the
   time went* to its report when a trajectory ratio slips.
@@ -53,7 +53,7 @@ BENCH_REPEATS = int(os.environ.get("REPRO_BENCH_PROFILE_REPEATS", "3"))
 PASSES_PER_ROUND = int(os.environ.get("REPRO_BENCH_PROFILE_PASSES", "5"))
 OVERHEAD_BAR = 0.02  # full runs: sampler costs <= 2% of hot-path time
 SMOKE_OVERHEAD_BAR = 0.15  # sub-second smoke runs: noise floor dominates
-SERVICE_STAGES = ("stemmer", "detect", "rank")
+SERVICE_STAGES = ("stemmer", "detect", "features", "rank")
 
 
 def run_profile_benchmark(document_count=DOCUMENT_COUNT):

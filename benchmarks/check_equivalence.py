@@ -3,8 +3,7 @@
 The benchmark snapshots (``BENCH_hotpath.json``, ``BENCH_store.json``,
 ``BENCH_offline.json``) carry boolean flags proving the optimized paths reproduce the seed
 implementations exactly — single-pass vs multi-pass detections,
-parallel vs sequential batches, columnar/compressed/mmap scoring vs the
-seed per-element loop.  A perf PR that breaks equivalence but still
+columnar/compressed/mmap scoring vs the seed per-element loop.  A perf PR that breaks equivalence but still
 "passes" its speed bar must not merge; this script turns any false flag
 into a CI failure.
 
@@ -30,7 +29,6 @@ DEFAULT_SNAPSHOTS = (
 REQUIRED_FLAGS = {
     "BENCH_hotpath.json": (
         "results_identical_to_seed_path",
-        "parallel_batch.identical_to_sequential",
         "automaton.identical_to_seed_path",
         "automaton.identical_to_pure_python",
     ),

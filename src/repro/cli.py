@@ -265,15 +265,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         dataset = collect_dataset(env, args.stories)
         experiment = RankingExperiment(env, dataset)
         ranker = train_combined_ranker(env, experiment)
-        with tracer.trace("rank") as trace:
-            with tracer.span("detect"):
-                annotated = env.pipeline.process(text, is_html=args.html)
-            with tracer.span("rank"):
-                ranked = ranker.rank_document(annotated)
-            if trace.sampled:
-                trace.meta.update(
-                    {"bytes": len(text), "detections": len(ranked)}
-                )
+        trace = tracer.start("rank")
+        clock = tracer.clock(trace)
+        clock.lap("detect")
+        annotated = env.pipeline.process(text, is_html=args.html)
+        clock.lap("rank")
+        ranked = ranker.rank_document(annotated)
+        clock.lap(None)
+        if trace.sampled:
+            trace.meta.update({"bytes": len(text), "detections": len(ranked)})
+        tracer.finish(trace)
     if not ranked:
         print("no detectable concepts in the input "
               "(the demo world only knows its own synthetic inventory)")
@@ -460,7 +461,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     documents = [story.text for story in env.stories(args.docs, seed=args.seed)]
     if not quiet:
         print(f"ranking {len(documents)} documents ...", flush=True)
-    service.process_batch(documents, top=5, workers=args.workers)
+    service.process_batch(documents, top=5)
 
     if args.format == "json":
         print(json.dumps(get_registry().snapshot(), indent=2, sort_keys=True))
@@ -476,10 +477,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         for span in last.get("spans", []):
             print(f"  {span['name']:<12s} {span['duration'] * 1e3:8.3f} ms")
-            for child in span.get("children", []):
-                print(
-                    f"    {child['name']:<10s} {child['duration'] * 1e3:8.3f} ms"
-                )
     return 0
 
 
@@ -661,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--docs", type=int, default=25,
                        help="documents to rank in the sample workload")
     stats.add_argument("--seed", type=int, default=777)
-    stats.add_argument("--workers", type=int, default=2,
-                       help="batch workers (exercises the chunk metrics)")
     stats.add_argument("--relevance-phrases", type=int, default=40,
                        help="concepts to mine relevant keywords for")
     stats.add_argument(

@@ -8,7 +8,7 @@ no explicit registry/tracer is handed to them:
 * the serving layer (:class:`~repro.runtime.framework.RankerService`,
   the relevance/interestingness stores, :class:`MappedPack`),
 * the search engine (query counters by kind),
-* the offline builder (per-stage spans).
+* the offline builder and ``repro rank`` (per-stage clock laps).
 
 ``configure(...)`` swaps in a fresh pair — call it **before**
 constructing services or stores, because instrumented objects fetch
@@ -48,6 +48,7 @@ from repro.obs.trace import (
     NULL_TRACE,
     JsonLinesTraceSink,
     Span,
+    StageClock,
     Trace,
     Tracer,
     active_stages,
@@ -77,6 +78,7 @@ __all__ = [
     "NullHistogram",
     "Span",
     "StackSampler",
+    "StageClock",
     "Trace",
     "Tracer",
     "active_stages",

@@ -28,7 +28,6 @@ explanation requests against an RBF model raise ``ValueError``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +36,7 @@ import numpy as np
 from repro.detection.base import Detection
 from repro.detection.pipeline import AnnotatedDocument
 from repro.features.interestingness import FEATURE_GROUPS
+from repro.obs.trace import NULL_CLOCK
 from repro.ranking.baselines import tie_break_by_relevance
 from repro.ranking.model import FeatureAssembler
 from repro.ranking.ranksvm import RankSVM
@@ -155,21 +155,23 @@ class ExplainableRanker:
         self.feature_observer = None  # same tap as ConceptRanker's
 
     def explain_phrases(
-        self, phrases: List[str], text: DocumentLike
-    ) -> Tuple[np.ndarray, List[RankExplanation], float]:
-        """(final scores, unordered explanations, feature seconds).
+        self, phrases: List[str], text: DocumentLike, clock=NULL_CLOCK
+    ) -> Tuple[np.ndarray, List[RankExplanation]]:
+        """(final scores, unordered explanations).
 
         Explanations come back in *phrases* order with ``rank=-1``;
-        :meth:`explain_document` assigns ranks after sorting.
+        :meth:`explain_document` assigns ranks after sorting.  *clock*
+        laps ``rank`` once the feature matrix is assembled, exactly as
+        :meth:`ConceptRanker.score_phrases` does.
         """
         if not phrases:
-            return np.zeros(0), [], 0.0
-        started = time.perf_counter()
+            clock.lap("rank")
+            return np.zeros(0), []
         context = self._assembler.context_of(text)
         features, relevance = self._assembler.matrix_and_relevance(
             phrases, context
         )
-        feature_seconds = time.perf_counter() - started
+        clock.lap("rank")
         if self.feature_observer is not None:
             self.feature_observer(features)
         decision = self._model.decision_function(features)
@@ -209,26 +211,28 @@ class ExplainableRanker:
             )
             for row in range(len(phrases))
         ]
-        return scores, explanations, feature_seconds
+        return scores, explanations
 
-    def explain_document_timed(
-        self, annotated: AnnotatedDocument
-    ) -> Tuple[List[Detection], List[RankExplanation], float]:
-        """``rank_document_timed`` plus one explanation per detection.
+    def explain_document(
+        self,
+        annotated: AnnotatedDocument,
+        top: Optional[int] = None,
+        clock=NULL_CLOCK,
+    ) -> Tuple[List[Detection], List[RankExplanation]]:
+        """``rank_document`` plus one explanation per detection.
 
         The returned explanations align with the ranked detections
         (``explanations[i]`` explains ``ranked[i]``, ``rank == i``).
         """
         rankable = annotated.rankable()
-        if not rankable:
-            return [], [], 0.0
-        phrases = [d.phrase for d in rankable]
         tokens = getattr(annotated, "tokens", None)
         source: DocumentLike = tokens if tokens is not None else annotated.text
-        scores, explanations, feature_seconds = self.explain_phrases(
-            phrases, source
+        scores, explanations = self.explain_phrases(
+            [d.phrase for d in rankable], source, clock
         )
         order = np.argsort(-scores, kind="stable")
+        if top is not None:
+            order = order[:top]
         ranked: List[Detection] = []
         ordered: List[RankExplanation] = []
         for rank, index in enumerate(order):
@@ -237,13 +241,4 @@ class ExplainableRanker:
             explanation = explanations[index]
             explanation.rank = rank
             ordered.append(explanation)
-        return ranked, ordered, feature_seconds
-
-    def explain_document(
-        self, annotated: AnnotatedDocument, top: Optional[int] = None
-    ) -> Tuple[List[Detection], List[RankExplanation]]:
-        ranked, explanations, __ = self.explain_document_timed(annotated)
-        if top is not None:
-            ranked = ranked[:top]
-            explanations = explanations[:top]
-        return ranked, explanations
+        return ranked, ordered

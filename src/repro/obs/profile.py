@@ -7,11 +7,12 @@ under production traffic:
   ``sys._current_frames()`` at a configurable rate (default 97 hz, a
   prime so the cadence cannot alias with common loop periods), interns
   each code frame once, and folds the observed stacks into a call
-  tree.  Samples are attributed per thread *and* per stage: the tracer
-  (:mod:`repro.obs.trace`) publishes a thread→stage map while a
-  sampler is running, so the CPU breakdown joins directly against the
-  ``span_seconds{stage=...}`` histograms from PR 4 — the same stage
-  names, now with per-frame attribution behind them.  Exports: the
+  tree.  Samples are attributed per thread *and* per stage: every
+  :class:`~repro.obs.trace.StageClock` publishes a thread→stage map
+  while a sampler is running, so the CPU breakdown joins directly
+  against the stage histograms the same clock laps feed
+  (``rank_stage_seconds`` / ``span_seconds``) — the same stage names,
+  now with per-frame attribution behind them.  Exports: the
   collapsed-stack text format (``a;b;c 42`` — pipe straight into
   ``flamegraph.pl``), a JSON call tree, and top-N stacks.
 
@@ -100,8 +101,8 @@ class StackSampler:
     sampler holds per tick, so they see consistent counts while it
     runs.
 
-    *track_stages* joins samples against the tracer's thread→stage map
-    (enabled for the duration of the run, restored on stop); stage
+    *track_stages* joins samples against the stage clocks' thread→stage
+    map (enabled for the duration of the run, restored on stop); stage
     sample counts are also folded into the *registry* as
     ``profile_samples_total{stage=...}`` so the CPU breakdown lands
     next to the ``span_seconds`` histograms it explains.

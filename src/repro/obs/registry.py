@@ -107,19 +107,6 @@ class _Sharded:
             for shard in self._shards:
                 shard[:] = 0.0
 
-    def set_total(self, values: np.ndarray) -> None:
-        """Zero every shard and write *values* into the caller's one.
-
-        Only meaningful when a single thread owns the metric (the
-        legacy :class:`~repro.runtime.framework.TimingStats` view);
-        concurrent writers racing a ``set_total`` may be dropped.
-        """
-        cells = self.cells()
-        with self._lock:
-            for shard in self._shards:
-                shard[:] = 0.0
-            cells[:] = values
-
 
 class Counter:
     """Monotonic accumulator (float increments allowed)."""
@@ -140,9 +127,6 @@ class Counter:
     @property
     def value(self) -> float:
         return float(self._cells.merged()[0])
-
-    def _set_total(self, value: float) -> None:
-        self._cells.set_total(np.asarray([float(value)]))
 
     def _reset(self) -> None:
         self._cells.zero()
@@ -276,9 +260,6 @@ class NullCounter:
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def _set_total(self, value: float) -> None:
         pass
 
     def _reset(self) -> None:

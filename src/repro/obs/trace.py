@@ -1,9 +1,9 @@
-"""Stage spans and request traces with optional 1-in-N sampling.
+"""Request traces with 1-in-N sampling, and the stage clock that feeds them.
 
-A :class:`Trace` is one request's (or one offline build's) tree of
-nested :class:`Span` timings, clocked with ``time.perf_counter`` (a
-monotonic clock — wall-clock adjustments never corrupt durations; the
-single ``time.time`` stamp on the trace itself is presentation only).
+A :class:`Trace` is one request's (or one offline build's) flat list of
+:class:`Span` timings, clocked with ``time.perf_counter`` (a monotonic
+clock — wall-clock adjustments never corrupt durations; the single
+``time.time`` stamp on the trace itself is presentation only).
 
 The :class:`Tracer` is the cheap front door the instrumented code
 talks to:
@@ -11,15 +11,20 @@ talks to:
 * ``tracer.start(kind)`` / ``tracer.finish(trace)`` — bracket one
   request.  Sampling happens at ``start``: with ``sample_every=N``
   only every N-th request gets a real :class:`Trace`; the rest get the
-  shared :data:`NULL_TRACE` whose methods are no-ops, so the unsampled
-  hot path pays one counter increment and nothing else.
-* ``tracer.trace(kind)`` — context-manager form of the same, which
-  also makes the trace *current* for the thread so that…
-* ``tracer.span(stage)`` — a context manager **and** decorator that
-  times a stage, records the duration into the registry histogram
-  ``span_seconds{stage=...}`` (always, sampled or not — histograms are
-  the cheap aggregate view), and attaches a span to the thread's
-  current trace when one is being kept.
+  shared :data:`NULL_TRACE`, so the unsampled hot path pays one
+  counter increment and nothing else.
+* ``tracer.clock(trace)`` — a :class:`StageClock` over the tracer's
+  ``span_seconds{stage=...}`` histograms (the offline builder and
+  ``repro rank`` time their stages with it).
+
+A :class:`StageClock` times consecutive stages with one
+``perf_counter`` reading per boundary.  ``clock.lap(stage)`` closes
+the running stage — one histogram observation (always, sampled or not:
+histograms are the cheap aggregate view) and, when the trace is kept,
+one span from the same two readings — then opens *stage* and publishes
+it to the profiler's thread→stage map.  ``clock.lap(None)`` closes the
+last stage.  The serving path laps its own ``rank_stage_seconds``
+histograms the same way.
 
 Finished sampled traces go to the *sink* (``JsonLinesTraceSink`` for
 ``--trace-out``) and into a small ``recent`` ring buffer for ad-hoc
@@ -28,21 +33,22 @@ inspection (``python -m repro stats``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 __all__ = [
     "JsonLinesTraceSink",
+    "NULL_CLOCK",
     "NULL_TRACE",
     "Span",
+    "StageClock",
     "Trace",
     "Tracer",
     "active_stages",
@@ -55,14 +61,13 @@ __all__ = [
 # -- thread -> stage map (for the sampling profiler) -----------------------
 #
 # The stack sampler (repro.obs.profile) attributes CPU samples to the
-# stage the sampled thread was executing.  Spans and the serving path
-# publish their current stage here — but only while a sampler has
-# switched tracking on, so the instrumented hot path pays exactly one
-# module-global bool check per stage boundary when nothing is
-# profiling.  The map is a flat {thread ident -> stage name} dict:
-# writers save/restore the previous value around nested spans, and the
-# GIL makes the int-keyed set/get/delete atomic enough for a sampler
-# that only ever *reads*.
+# stage the sampled thread was executing.  Stage clocks publish their
+# current stage here — but only while a sampler has switched tracking
+# on, so the instrumented hot path pays exactly one module-global bool
+# check per stage boundary when nothing is profiling.  The map is a
+# flat {thread ident -> stage name} dict, and the GIL makes the
+# int-keyed set/get/delete atomic enough for a sampler that only ever
+# *reads*.
 
 _STAGE_TRACKING = False
 _THREAD_STAGES: Dict[int, str] = {}
@@ -89,8 +94,7 @@ def stage_tracking_enabled() -> bool:
 def mark_stage(stage: Optional[str]) -> Optional[str]:
     """Set (None: clear) the calling thread's stage; returns the old one.
 
-    No-op unless stage tracking is enabled.  Callers that nest restore
-    the returned previous value on exit.
+    No-op unless stage tracking is enabled.
     """
     if not _STAGE_TRACKING:
         return None
@@ -109,50 +113,28 @@ def active_stages() -> Dict[int, str]:
 
 
 class Span:
-    """One timed stage inside a trace (children are sub-stages)."""
+    """One timed stage inside a trace."""
 
-    __slots__ = ("name", "start", "duration", "children")
+    __slots__ = ("name", "start", "duration")
 
-    def __init__(self, name: str, start: float):
+    def __init__(self, name: str, start: float, duration: float):
         self.name = name
-        self.start = start  # perf_counter seconds, relative clock
-        self.duration = 0.0
-        self.children: List["Span"] = []
+        self.start = start  # perf_counter seconds, relative to the trace
+        self.duration = duration
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "name": self.name,
             "start": round(self.start, 9),
             "duration": round(self.duration, 9),
         }
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
-
-class _TraceSpanContext:
-    """``with trace.span(name):`` — nested span bracketing."""
-
-    __slots__ = ("_trace", "_name", "_span")
-
-    def __init__(self, trace: "Trace", name: str):
-        self._trace = trace
-        self._name = name
-
-    def __enter__(self) -> Span:
-        self._span = self._trace._open_span(self._name)
-        return self._span
-
-    def __exit__(self, *exc_info) -> None:
-        self._trace._close_span(self._span)
 
 
 class Trace:
-    """One sampled request: a kind, a span tree, and free-form meta."""
+    """One sampled request: a kind, its stage spans, and free-form meta."""
 
     sampled = True
-    __slots__ = ("kind", "timestamp", "started", "duration", "meta",
-                 "spans", "_stack")
+    __slots__ = ("kind", "timestamp", "started", "duration", "meta", "spans")
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -161,11 +143,6 @@ class Trace:
         self.duration = 0.0
         self.meta: Dict[str, object] = {}
         self.spans: List[Span] = []
-        self._stack: List[Span] = []
-
-    def span(self, name: str) -> _TraceSpanContext:
-        """Open a nested span as a context manager."""
-        return _TraceSpanContext(self, name)
 
     def record(self, name: str, start: float, end: float) -> Span:
         """Attach an already-measured stage (the zero-extra-clock path).
@@ -174,29 +151,9 @@ class Trace:
         took for its own accounting; recording reuses them instead of
         sampling the clock again.
         """
-        span = Span(name, start - self.started)
-        span.duration = end - start
-        self._attach(span)
+        span = Span(name, start - self.started, end - start)
+        self.spans.append(span)
         return span
-
-    def record_duration(self, name: str, start: float, seconds: float) -> Span:
-        """Attach a stage known only by (start, duration)."""
-        return self.record(name, start, start + seconds)
-
-    def _attach(self, span: Span) -> None:
-        parent = self._stack[-1].children if self._stack else self.spans
-        parent.append(span)
-
-    def _open_span(self, name: str) -> Span:
-        span = Span(name, time.perf_counter() - self.started)
-        self._attach(span)
-        self._stack.append(span)
-        return span
-
-    def _close_span(self, span: Span) -> None:
-        span.duration = (time.perf_counter() - self.started) - span.start
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
 
     def finish(self) -> None:
         self.duration = time.perf_counter() - self.started
@@ -213,32 +170,13 @@ class Trace:
         return out
 
 
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
 class _NullTrace:
     """Shared stand-in for unsampled requests; every method no-ops."""
 
     sampled = False
     meta: Dict[str, object] = {}
 
-    def span(self, name: str) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
     def record(self, name: str, start: float, end: float) -> None:
-        return None
-
-    def record_duration(self, name: str, start: float, seconds: float) -> None:
         return None
 
     def finish(self) -> None:
@@ -249,6 +187,55 @@ class _NullTrace:
 
 
 NULL_TRACE = _NullTrace()
+
+
+class StageClock:
+    """Times consecutive stages: one ``perf_counter`` reading per boundary.
+
+    *histograms* maps each stage name to the histogram its durations
+    feed; *trace* gets one span per closed stage when it is sampled.
+    The clock reads ``time.perf_counter`` through the module at every
+    lap, so a patched clock is seen by every caller alike.
+    """
+
+    __slots__ = ("_histograms", "_trace", "_stage", "_started")
+
+    def __init__(self, histograms: Mapping[str, object], trace=NULL_TRACE):
+        self._histograms = histograms
+        self._trace = trace
+        self._stage: Optional[str] = None
+        self._started = 0.0
+
+    def lap(self, stage: Optional[str]) -> float:
+        """Close the running stage and open *stage* (None: open nothing).
+
+        Returns the closed stage's seconds, 0.0 when none was running.
+        """
+        now = time.perf_counter()
+        seconds = 0.0
+        closed = self._stage
+        if closed is not None:
+            seconds = now - self._started
+            self._histograms[closed].observe(seconds)
+            if self._trace.sampled:
+                self._trace.record(closed, self._started, now)
+        self._stage = stage
+        self._started = now
+        if _STAGE_TRACKING:
+            mark_stage(stage)
+        return seconds
+
+
+class _NullClock:
+    """Stand-in clock for callers that time nothing; ``lap`` no-ops."""
+
+    __slots__ = ()
+
+    def lap(self, stage: Optional[str]) -> float:
+        return 0.0
+
+
+NULL_CLOCK = _NullClock()
 
 
 class JsonLinesTraceSink:
@@ -344,53 +331,30 @@ class JsonLinesTraceSink:
         self.close()
 
 
-class _TracerSpan:
-    """``tracer.span(stage)`` — context manager and decorator."""
+class _SpanHistograms(dict):
+    """stage -> its ``span_seconds{stage=...}`` histogram, made on first use."""
 
-    __slots__ = ("_tracer", "_stage", "_started", "_span", "_context",
-                 "_previous_stage", "_marked")
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__()
+        self._registry = registry
 
-    def __init__(self, tracer: "Tracer", stage: str):
-        self._tracer = tracer
-        self._stage = stage
-
-    def __enter__(self) -> Span:
-        self._marked = _STAGE_TRACKING
-        if self._marked:
-            self._previous_stage = mark_stage(self._stage)
-        trace = self._tracer.current()
-        self._context = trace.span(self._stage)
-        self._span = self._context.__enter__()
-        self._started = time.perf_counter()
-        if self._span is None:  # unsampled: still time for the histogram
-            self._span = Span(self._stage, 0.0)
-        return self._span
-
-    def __exit__(self, *exc_info) -> None:
-        seconds = time.perf_counter() - self._started
-        self._context.__exit__(*exc_info)
-        if not self._span.duration:
-            self._span.duration = seconds
-        if self._marked:
-            mark_stage(self._previous_stage)
-        self._tracer._observe_stage(self._stage, seconds)
-
-    def __call__(self, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _TracerSpan(self._tracer, self._stage):
-                return fn(*args, **kwargs)
-
-        return wrapper
+    def __missing__(self, stage: str):
+        histogram = self[stage] = self._registry.histogram(
+            "span_seconds",
+            help="tracer span durations by stage",
+            buckets=DEFAULT_LATENCY_BUCKETS,
+            stage=stage,
+        )
+        return histogram
 
 
 class Tracer:
     """Sampling front door: per-request traces + always-on histograms.
 
-    *sample_every*: keep the full span tree of every N-th ``start``;
-    0/None disables trace retention entirely (stage histograms still
-    record).  *sink* receives finished sampled traces as dicts;
-    *keep_last* bounds the in-memory ring of recent traces.
+    *sample_every*: keep the spans of every N-th ``start``; 0/None
+    disables trace retention entirely (stage histograms still record).
+    *sink* receives finished sampled traces as dicts; *keep_last*
+    bounds the in-memory ring of recent traces.
     """
 
     def __init__(
@@ -409,16 +373,13 @@ class Tracer:
         self._keep_last = max(0, int(keep_last))
         self._requests = itertools.count()
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._m_requests = self._registry.counter(
             "trace_requests_total", help="requests seen by the tracer"
         )
         self._m_sampled = self._registry.counter(
             "trace_sampled_total", help="requests that kept a full trace"
         )
-        self._stage_histograms: Dict[str, object] = {}
-
-    # -- sampling ----------------------------------------------------------
+        self._span_histograms = _SpanHistograms(self._registry)
 
     def start(self, kind: str):
         """A :class:`Trace` for every N-th request, NULL_TRACE otherwise."""
@@ -443,54 +404,6 @@ class Tracer:
         if self.sink is not None:
             self.sink.write(record)
 
-    # -- ambient trace (context-manager form) ------------------------------
-
-    def _stack(self) -> List:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def current(self):
-        """The thread's innermost active trace (NULL_TRACE if none)."""
-        stack = self._stack()
-        return stack[-1] if stack else NULL_TRACE
-
-    def trace(self, kind: str):
-        """``with tracer.trace(kind) as t:`` — start/finish + ambient."""
-        return _TracerTraceContext(self, kind)
-
-    def span(self, stage: str) -> _TracerSpan:
-        """Time a stage: histogram always, span when a trace is kept."""
-        return _TracerSpan(self, stage)
-
-    def _observe_stage(self, stage: str, seconds: float) -> None:
-        histogram = self._stage_histograms.get(stage)
-        if histogram is None:
-            histogram = self._registry.histogram(
-                "span_seconds",
-                help="tracer span durations by stage",
-                buckets=DEFAULT_LATENCY_BUCKETS,
-                stage=stage,
-            )
-            self._stage_histograms[stage] = histogram
-        histogram.observe(seconds)
-
-
-class _TracerTraceContext:
-    __slots__ = ("_tracer", "_kind", "_trace")
-
-    def __init__(self, tracer: Tracer, kind: str):
-        self._tracer = tracer
-        self._kind = kind
-
-    def __enter__(self):
-        self._trace = self._tracer.start(self._kind)
-        self._tracer._stack().append(self._trace)
-        return self._trace
-
-    def __exit__(self, *exc_info) -> None:
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self._trace:
-            stack.pop()
-        self._tracer.finish(self._trace)
+    def clock(self, trace=NULL_TRACE) -> StageClock:
+        """A stage clock over ``span_seconds{stage}``, spans into *trace*."""
+        return StageClock(self._span_histograms, trace)

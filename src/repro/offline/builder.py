@@ -7,9 +7,12 @@ relevantTerms — is computed offline and shipped to the runtime as
 quantized stores.  :class:`OfflineBuilder` runs that whole offline half
 as an explicit stage DAG::
 
-    corpus -> index -> units -> interestingness -> relevance -> quantize -> pack
+    corpus -> index -> units -> interestingness -> relevance -> quantize
+           -> kernel -> pack
 
-with per-stage timings, in one of two modes:
+with per-stage timings from one stage clock (the same readings feed
+the report, the ``span_seconds`` histograms and the sampled build
+trace), in one of two modes:
 
 * ``fast=True`` (default): single tokenization pass shared by all
   stages (:class:`TokenizedCorpus`), CSR frozen index, vectorized
@@ -37,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.corpus.dictionaries import EditorialDictionary
 from repro.corpus.wikipedia import WikipediaStore
 from repro.obs import Tracer, get_tracer
+from repro.obs.trace import StageClock
 from repro.obs.quality import DriftBaseline
 from repro.features.interestingness import InterestingnessExtractor
 from repro.features.relevance import (
@@ -173,29 +177,34 @@ class BuildReport:
         }
 
 
-class _StageClock:
+class _StageRunner:
     """Collects :class:`StageStats` around pipeline sections.
 
-    Each stage runs inside a tracer span, so the timing that lands in
-    the :class:`BuildReport` is the very same measurement that feeds the
-    ``span_seconds{stage=...}`` histograms and the sampled build trace —
-    the ad-hoc timing dict and the observability surface cannot drift
-    apart.  The span also publishes the stage to the profiler's
+    Each stage's thunk runs between two laps of the build's
+    :class:`~repro.obs.trace.StageClock`, so the seconds that land in
+    the :class:`BuildReport` are the very same two readings that feed
+    the ``span_seconds{stage=...}`` histogram and the sampled build
+    trace — the report and the observability surface cannot drift
+    apart.  The lap also publishes the stage to the profiler's
     thread→stage map, and a ``heap_stage`` bracket attributes the
     stage's net allocations when a :class:`~repro.obs.profile.
     HeapProfiler` is active (both no-ops otherwise).
     """
 
-    def __init__(self, tracer: Tracer):
+    def __init__(self, clock: StageClock):
         self.stages: List[StageStats] = []
-        self._tracer = tracer
+        self._clock = clock
 
     def run(self, name: str, items: int, unit: str, thunk):
         from repro.obs.profile import heap_stage
 
-        with self._tracer.span(name) as span, heap_stage(name):
-            result = thunk()
-        self.stages.append(StageStats(name, span.duration, items, unit))
+        with heap_stage(name):
+            self._clock.lap(name)
+            try:
+                result = thunk()
+            finally:
+                seconds = self._clock.lap(None)
+        self.stages.append(StageStats(name, seconds, items, unit))
         return result
 
 
@@ -232,12 +241,14 @@ class OfflineBuilder:
         wikipedia = wikipedia if wikipedia is not None else WikipediaStore({})
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with self._tracer.trace("build-pack") as build_trace:
+        trace = self._tracer.start("build-pack")
+        try:
             report = self._run_stages(
-                config, docs, query_log, phrases, out, dictionary, wikipedia
+                _StageRunner(self._tracer.clock(trace)),
+                config, docs, query_log, phrases, out, dictionary, wikipedia,
             )
-            if build_trace.sampled:
-                build_trace.meta.update(
+            if trace.sampled:
+                trace.meta.update(
                     {
                         "mode": report.mode,
                         "workers": report.workers,
@@ -245,27 +256,28 @@ class OfflineBuilder:
                         "concepts": report.concept_count,
                     }
                 )
+        finally:
+            self._tracer.finish(trace)
         return report
 
     def _run_stages(
-        self, config, docs, query_log, phrases, out, dictionary, wikipedia
+        self, runner, config, docs, query_log, phrases, out, dictionary,
+        wikipedia,
     ) -> BuildReport:
-        clock = _StageClock(self._tracer)
-
         if config.fast:
-            corpus, stemmed_df = clock.run(
+            corpus, stemmed_df = runner.run(
                 "corpus",
                 len(docs),
                 "docs",
                 lambda: self._fast_corpus(docs),
             )
-            engine = clock.run(
+            engine = runner.run(
                 "index",
                 len(docs),
                 "docs",
                 lambda: corpus.engine(k1=config.k1, b=config.b),
             )
-            lexicon = clock.run(
+            lexicon = runner.run(
                 "units",
                 len(query_log),
                 "queries",
@@ -273,19 +285,19 @@ class OfflineBuilder:
             )
         else:
             corpus = None
-            stemmed_df = clock.run(
+            stemmed_df = runner.run(
                 "corpus",
                 len(docs),
                 "docs",
                 lambda: build_stemmed_df(text for __, text in docs),
             )
-            engine = clock.run(
+            engine = runner.run(
                 "index",
                 len(docs),
                 "docs",
                 lambda: self._seed_engine(docs, config.k1, config.b),
             )
-            lexicon = clock.run(
+            lexicon = runner.run(
                 "units",
                 len(query_log),
                 "queries",
@@ -295,7 +307,7 @@ class OfflineBuilder:
         extractor = InterestingnessExtractor(
             query_log, lexicon, engine, dictionary, wikipedia
         )
-        vectors = clock.run(
+        vectors = runner.run(
             "interestingness",
             len(phrases),
             "concepts",
@@ -316,7 +328,7 @@ class OfflineBuilder:
                 config.keyword_count,
             )
         workers = config.resolved_workers() if config.fast else 1
-        model = clock.run(
+        model = runner.run(
             "relevance",
             len(phrases),
             "concepts",
@@ -332,7 +344,7 @@ class OfflineBuilder:
             # taken from the store rather than the raw vectors.
             return store, PackedRelevanceStore.build(model), DriftBaseline.from_store(store)
 
-        interestingness_store, relevance_store, baseline = clock.run(
+        interestingness_store, relevance_store, baseline = runner.run(
             "quantize", len(phrases), "concepts", _quantize
         )
 
@@ -379,14 +391,14 @@ class OfflineBuilder:
                 stem_of=stem_of,
             )
 
-        kernel = clock.run("kernel", len(phrases), "concepts", _kernel)
+        kernel = runner.run("kernel", len(phrases), "concepts", _kernel)
 
         pack_paths = {
             "interestingness": str(out / INTERESTINGNESS_PACK),
             "relevance": str(out / RELEVANCE_PACK),
             "detection": str(out / DETECTION_PACK),
         }
-        clock.run(
+        runner.run(
             "pack",
             len(phrases),
             "concepts",
@@ -404,7 +416,7 @@ class OfflineBuilder:
             workers=workers,
             document_count=len(docs),
             concept_count=len(phrases),
-            stages=clock.stages,
+            stages=runner.stages,
             pack_paths=pack_paths,
             pack_sha256={
                 name: _sha256(path) for name, path in pack_paths.items()

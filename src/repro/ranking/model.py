@@ -9,7 +9,6 @@ tie-breaker (Section V-A.6).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -22,6 +21,7 @@ from repro.features.interestingness import (
     numeric_feature_names,
 )
 from repro.features.relevance import RelevanceScorer
+from repro.obs.trace import NULL_CLOCK
 from repro.ranking.baselines import tie_break_by_relevance
 from repro.ranking.ranksvm import RankSVM
 from repro.text.tokenized import DocumentLike
@@ -215,34 +215,28 @@ class ConceptRanker:
         # beyond one identity check.
         self.feature_observer = None
 
-    def score_phrases(self, phrases: Sequence[str], text: DocumentLike) -> np.ndarray:
-        """Model scores for candidate *phrases* of document *text*."""
-        scores, __ = self.score_phrases_timed(phrases, text)
-        return scores
+    def score_phrases(
+        self, phrases: Sequence[str], text: DocumentLike, clock=NULL_CLOCK
+    ) -> np.ndarray:
+        """Model scores for candidate *phrases* of document *text*.
 
-    def score_phrases_timed(
-        self, phrases: Sequence[str], text: DocumentLike
-    ) -> Tuple[np.ndarray, float]:
-        """(scores, seconds spent on feature lookups/assembly).
-
-        The feature time covers the context stems, the store lookups,
-        and the relevance summations — the per-stage timing the runtime
-        service reports; model inference is excluded.
+        *clock* laps ``rank`` once the feature matrix is assembled, so
+        a caller's running stage covers the context stems, the store
+        lookups and the relevance summations, and ``rank`` covers model
+        inference onward.
         """
         if not phrases:
-            return np.zeros(0), 0.0
-        started = time.perf_counter()
+            clock.lap("rank")
+            return np.zeros(0)
         context = self._assembler.context_of(text)
         features, relevance = self._assembler.matrix_and_relevance(phrases, context)
-        if not self.tie_break_with_relevance:
-            relevance = None
-        feature_seconds = time.perf_counter() - started
+        clock.lap("rank")
         if self.feature_observer is not None:
             self.feature_observer(features)
         scores = self._model.decision_function(features)
-        if relevance is not None:
+        if self.tie_break_with_relevance:
             scores = tie_break_by_relevance(scores, relevance)
-        return scores, feature_seconds
+        return scores
 
     def rank_phrases(
         self, phrases: Sequence[str], text: str
@@ -252,36 +246,24 @@ class ConceptRanker:
         order = np.argsort(-scores, kind="stable")
         return [(phrases[int(i)], float(scores[int(i)])) for i in order]
 
-    def rank_document(self, annotated: AnnotatedDocument) -> List[Detection]:
+    def rank_document(
+        self, annotated: AnnotatedDocument, clock=NULL_CLOCK
+    ) -> List[Detection]:
         """Rankable detections of *annotated*, best first.
 
         This is what replaces the concept-vector ordering in production:
-        an application keeps the top N of this list.
-        """
-        ranked, __ = self.rank_document_timed(annotated)
-        return ranked
-
-    def rank_document_timed(
-        self, annotated: AnnotatedDocument
-    ) -> Tuple[List[Detection], float]:
-        """`rank_document` plus the feature-lookup seconds it spent.
-
-        When *annotated* carries the pipeline's shared token stream the
-        relevance context reuses it; otherwise the text is re-analysed.
+        an application keeps the top N of this list.  When *annotated*
+        carries the pipeline's shared token stream the relevance context
+        reuses it; otherwise the text is re-analysed.  *clock* laps
+        ``rank`` as in :meth:`score_phrases`.
         """
         rankable = annotated.rankable()
-        if not rankable:
-            return [], 0.0
-        phrases = [d.phrase for d in rankable]
         # getattr: documents unpickled from pre-single-pass caches lack .tokens
         tokens = getattr(annotated, "tokens", None)
         source: DocumentLike = tokens if tokens is not None else annotated.text
-        scores, feature_seconds = self.score_phrases_timed(phrases, source)
+        scores = self.score_phrases([d.phrase for d in rankable], source, clock)
         order = np.argsort(-scores, kind="stable")
-        return (
-            [rankable[int(i)].with_score(float(scores[int(i)])) for i in order],
-            feature_seconds,
-        )
+        return [rankable[int(i)].with_score(float(scores[int(i)])) for i in order]
 
     def top_detections(
         self, annotated: AnnotatedDocument, count: int

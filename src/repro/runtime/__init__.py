@@ -14,7 +14,7 @@ from repro.runtime.datapack import (
     save_relevance_store,
     write_pack,
 )
-from repro.runtime.framework import RankerService, TimingStats
+from repro.runtime.framework import RankerService
 from repro.runtime.golomb import RiceArena
 from repro.runtime.store import QuantizedInterestingnessStore
 from repro.runtime.tid import (
@@ -43,7 +43,6 @@ __all__ = [
     "save_relevance_store",
     "write_pack",
     "RankerService",
-    "TimingStats",
     "RiceArena",
     "QuantizedInterestingnessStore",
     "MAX_SCORE_CODE",

@@ -1,16 +1,18 @@
 """Observability layer: registry exactness, tracing, and the wiring.
 
-Covers the new ``repro.obs`` package (counters/gauges/histograms with
-per-thread shards, span tracing with 1-in-N sampling, exposition) and
-the instrumentation contracts the runtime now depends on: the legacy
-``TimingStats`` API riding on registry counters and the service/builder
-span surfaces.
+Covers the ``repro.obs`` package (counters/gauges/histograms with
+per-thread shards, the stage clock and 1-in-N trace sampling,
+exposition) and the instrumentation contracts the runtime depends on:
+one clock reading per stage boundary in the service, the builder and
+their traces, and the Section VI throughput read back from the stage
+histograms.
 """
 
 import json
 import math
 import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.obs import (
     MetricsRegistry,
     NullCounter,
     NullHistogram,
+    StageClock,
     Tracer,
     configure,
     escape_label_value,
@@ -33,12 +36,12 @@ from repro.obs import (
     set_tracer,
     unescape_label_value,
 )
+from repro.obs.trace import active_stages, set_stage_tracking
 from repro.ranking import RankSVM
 from repro.runtime import (
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
     RankerService,
-    TimingStats,
 )
 
 
@@ -262,40 +265,14 @@ class TestTracer:
         tracer = Tracer(sample_every=0)
         assert not any(tracer.start("req").sampled for __ in range(5))
 
-    def test_span_nesting_and_ambient_trace(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry=registry, sample_every=1)
-        with tracer.trace("req") as trace:
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    pass
-        assert trace.sampled
-        assert [s.name for s in trace.spans] == ["outer"]
-        assert [s.name for s in trace.spans[0].children] == ["inner"]
-        assert trace.duration > 0
-        # histograms record regardless of nesting
-        snap = registry.snapshot()["span_seconds"]
-        stages = {s["labels"]["stage"] for s in snap["series"]}
-        assert stages == {"outer", "inner"}
-
     def test_span_histogram_records_when_unsampled(self):
         registry = MetricsRegistry()
         tracer = Tracer(registry=registry, sample_every=0)
-        with tracer.span("stage"):
-            pass
+        clock = tracer.clock(tracer.start("req"))
+        clock.lap("stage")
+        clock.lap(None)
         series = registry.snapshot()["span_seconds"]["series"]
         assert series[0]["count"] == 1
-
-    def test_span_as_decorator(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry=registry, sample_every=0)
-
-        @tracer.span("work")
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        assert registry.snapshot()["span_seconds"]["series"][0]["count"] == 1
 
     def test_record_reuses_clock_readings(self):
         tracer = Tracer(sample_every=1)
@@ -311,12 +288,17 @@ class TestTracer:
         with JsonLinesTraceSink(path) as sink:
             tracer = Tracer(sample_every=1, sink=sink, keep_last=2)
             for __ in range(3):
-                with tracer.trace("req"):
-                    pass
+                trace = tracer.start("req")
+                clock = tracer.clock(trace)
+                clock.lap("stage")
+                clock.lap(None)
+                tracer.finish(trace)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         record = json.loads(lines[0])
         assert record["kind"] == "req"
+        assert [span["name"] for span in record["spans"]] == ["stage"]
+        assert "children" not in record["spans"][0]
         assert len(tracer.recent) == 2  # ring bounded by keep_last
 
     def test_sink_rotation_by_size(self, tmp_path):
@@ -449,93 +431,52 @@ class TestTracer:
             set_tracer(previous_tracer)
 
 
-class TestTimingStats:
-    def test_rate_zero_guards(self):
-        """No measured work means the rate is *unknown* — nan, matching
-        the empty-histogram quantile convention (0.0 would read as "we
-        measured this and it was zero MB/s")."""
-        stats = TimingStats()
-        assert math.isnan(stats.stemmer_mb_per_second)
-        assert math.isnan(stats.ranker_mb_per_second)
-        assert math.isnan(stats.detections_per_document)
-        # bytes without seconds (and vice versa) are equally unknown
-        stats.bytes_processed = 1000
-        assert math.isnan(stats.stemmer_mb_per_second)
-        stats.bytes_processed = 0
-        stats.stemmer_seconds = 1.0
-        assert math.isnan(stats.stemmer_mb_per_second)
+class _FakePerfCounter:
+    """A ``time.perf_counter`` stand-in that advances 1.0 per call."""
 
-    def test_rate_non_finite_guard(self):
-        stats = TimingStats(bytes_processed=100)
-        assert math.isnan(stats._rate(float("nan")))
-        assert math.isnan(stats._rate(float("inf")))
-        assert math.isnan(stats._rate(-1.0))
+    def __init__(self):
+        self.reads = []
 
-    def test_merge_zero_byte_stats_is_safe(self):
-        left = TimingStats(stemmer_seconds=1.0, bytes_processed=2_000_000)
-        merged = left.merge(TimingStats())
-        assert merged is left
-        assert left.stemmer_mb_per_second == 2.0
+    def __call__(self):
+        value = float(len(self.reads))
+        self.reads.append(value)
+        return value
 
-    def test_keyword_construction_and_fields(self):
-        stats = TimingStats(
-            stemmer_seconds=1.5, documents=2, detections=3, bytes_processed=10
-        )
-        assert stats.stemmer_seconds == 1.5
-        assert stats.documents == 2
-        assert isinstance(stats.documents, int)
-        assert stats.detections_per_document == 1.5
-        assert stats.as_dict()["bytes_processed"] == 10
 
-    def test_merge_accumulates_all_fields(self):
-        left = TimingStats(stemmer_seconds=1.0, documents=2, detections=3)
-        right = TimingStats(
-            stemmer_seconds=0.5, ranker_seconds=2.0, documents=1, detections=4
-        )
-        left.merge(right)
-        assert left.stemmer_seconds == 1.5
-        assert left.ranker_seconds == 2.0
-        assert left.documents == 3
-        assert left.detections == 7
+def _stage_series(registry, name="rank_stage_seconds"):
+    """stage -> (count, sum) of one labelled histogram family."""
+    return {
+        series["labels"]["stage"]: (series["count"], series["sum"])
+        for series in registry.snapshot()[name]["series"]
+    }
 
-    def test_merge_zero_duration_side(self):
-        """Merging a side with documents but no elapsed time must never
-        raise (ZeroDivision) or go infinite — no-data rates are nan."""
-        left = TimingStats(documents=2, detections=4)  # no seconds, no bytes
-        right = TimingStats(bytes_processed=500, documents=1)  # zero seconds
-        left.merge(right)
-        assert left.documents == 3
-        assert left.bytes_processed == 500
-        assert math.isnan(left.stemmer_mb_per_second)
-        assert math.isnan(left.ranker_mb_per_second)
-        # and the mirror: real work absorbs a zero-duration side intact
-        busy = TimingStats(stemmer_seconds=1.0, bytes_processed=1_000_000)
-        busy.merge(TimingStats(documents=5))
-        assert busy.stemmer_mb_per_second == 1.0
-        assert busy.documents == 5
 
-    def test_merge_duck_typed_partial_object(self):
-        class Partial:
-            documents = 2  # no other TimingStats fields at all
-
-        stats = TimingStats(documents=1)
-        stats.merge(Partial())
-        assert stats.documents == 3
-        assert stats.stemmer_seconds == 0.0
-
-    def test_equality_and_repr(self):
-        a = TimingStats(documents=2)
-        b = TimingStats(documents=2)
-        assert a == b
-        assert a != TimingStats(documents=3)
-        assert "documents=2" in repr(a)
-
-    def test_snapshots_survive_reset(self):
-        """The test_single_pass capture pattern: old views keep values."""
-        first = TimingStats(documents=5)
-        second = TimingStats()  # a reset_stats() replacement
-        second.documents = 1
-        assert first.documents == 5
+class TestStageClock:
+    def test_one_reading_per_boundary_feeds_histogram_and_span(
+        self, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        histograms = {
+            stage: registry.histogram("t_seconds", stage=stage)
+            for stage in ("a", "b")
+        }
+        tracer = Tracer(registry=registry, sample_every=1)
+        trace = tracer.start("req")
+        fake = _FakePerfCounter()
+        monkeypatch.setattr(time, "perf_counter", fake)
+        clock = StageClock(histograms, trace)
+        assert clock.lap("a") == 0.0  # nothing was running yet
+        assert clock.lap("b") == 1.0
+        assert clock.lap(None) == 1.0
+        monkeypatch.undo()
+        assert fake.reads == [0.0, 1.0, 2.0]
+        assert _stage_series(registry, "t_seconds") == {
+            "a": (1, 1.0), "b": (1, 1.0)
+        }
+        assert [(s.name, s.duration) for s in trace.spans] == [
+            ("a", 1.0), ("b", 1.0)
+        ]
+        assert trace.spans[1].start == 1.0 - trace.started
 
 
 class TestServiceInstrumentation:
@@ -581,20 +522,8 @@ class TestServiceInstrumentation:
         }
         detections = snap["rank_detections_total"]["series"][0]["value"]
         assert detections == sum(len(r) for r in results)
-        assert detections == service.stats.detections
         per_doc = snap["rank_detections_per_document"]["series"][0]
         assert per_doc["count"] == len(texts)
-
-    def test_parallel_batch_chunk_metrics(self, setup, env_stories):
-        registry = MetricsRegistry()
-        service = self._service(setup, registry, Tracer(registry=registry))
-        texts = [s.text for s in env_stories[:6]]
-        service.process_batch(texts, top=5, workers=3)
-        snap = registry.snapshot()
-        assert snap["rank_batch_chunks_total"]["series"][0]["value"] == 3
-        assert snap["rank_batch_chunk_run_seconds"]["series"][0]["count"] == 3
-        assert snap["rank_batch_workers"]["series"][0]["value"] == 3
-        assert snap["rank_documents_total"]["series"][0]["value"] == len(texts)
 
     def test_trace_spans_match_stage_order(self, setup, env_stories):
         registry = MetricsRegistry()
@@ -603,8 +532,10 @@ class TestServiceInstrumentation:
         service.process(env_stories[0].text, top=3)
         assert len(tracer.recent) == 1
         spans = tracer.recent[0]["spans"]
-        assert [s["name"] for s in spans] == ["stemmer", "detect", "rank"]
-        assert [c["name"] for c in spans[2]["children"]] == ["features"]
+        assert [s["name"] for s in spans] == [
+            "stemmer", "detect", "features", "rank"
+        ]
+        assert not any("children" in span for span in spans)
 
     def test_output_identical_with_observability_disabled(
         self, setup, env_stories
@@ -618,17 +549,134 @@ class TestServiceInstrumentation:
         texts = [s.text for s in env_stories[:3]]
         assert on.process_batch(texts, top=5) == off.process_batch(texts, top=5)
 
-    def test_legacy_stats_view_still_works(self, setup, env_stories):
+    def _ranked_text(self, service, env_stories):
+        return next(s.text for s in env_stories if service.process(s.text))
+
+    def _assert_one_lap_per_stage(self, registry, fake):
+        assert len(fake.reads) == 5
+        series = _stage_series(registry)
+        assert {stage: count for stage, (count, __) in series.items()} == {
+            "stemmer": 1, "detect": 1, "features": 1, "rank": 1
+        }
+        # the four stages tile the request: no gap, no double count
+        assert sum(total for __, total in series.values()) == 4.0
+        assert fake.reads[-1] - fake.reads[0] == 4.0
+
+    def test_process_reads_the_clock_once_per_boundary(
+        self, setup, env_stories, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        service = self._service(
+            setup, registry, Tracer(registry=registry, sample_every=0)
+        )
+        text = self._ranked_text(service, env_stories)
+        registry.reset()
+        fake = _FakePerfCounter()
+        monkeypatch.setattr(time, "perf_counter", fake)
+        ranked = service.process(text, top=5)
+        monkeypatch.undo()
+        assert ranked
+        self._assert_one_lap_per_stage(registry, fake)
+
+    def test_unrankable_document_laps_every_stage(
+        self, setup, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        service = self._service(
+            setup, registry, Tracer(registry=registry, sample_every=0)
+        )
+        fake = _FakePerfCounter()
+        monkeypatch.setattr(time, "perf_counter", fake)
+        assert service.process("", top=5) == []
+        monkeypatch.undo()
+        self._assert_one_lap_per_stage(registry, fake)
+
+    def test_explain_path_laps_the_same_stages(
+        self, setup, env_stories, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        service = self._service(
+            setup, registry, Tracer(registry=registry, sample_every=0)
+        )
+        text = self._ranked_text(service, env_stories)
+        service.process(text, explain=True)  # build the explainer untimed
+        registry.reset()
+        fake = _FakePerfCounter()
+        monkeypatch.setattr(time, "perf_counter", fake)
+        ranked, explanations = service.process(text, top=5, explain=True)
+        monkeypatch.undo()
+        assert ranked and len(explanations) == len(ranked)
+        self._assert_one_lap_per_stage(registry, fake)
+
+    def test_sampled_spans_are_the_histogram_observations(
+        self, setup, env_stories, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry, sample_every=1)
+        service = self._service(setup, registry, tracer)
+        text = self._ranked_text(service, env_stories)
+        registry.reset()
+        monkeypatch.setattr(time, "perf_counter", _FakePerfCounter())
+        service.process(text, top=5)
+        monkeypatch.undo()
+        spans = tracer.recent[-1]["spans"]
+        assert [span["name"] for span in spans] == [
+            "stemmer", "detect", "features", "rank"
+        ]
+        assert not any("children" in span for span in spans)
+        series = _stage_series(registry)
+        for span in spans:
+            assert series[span["name"]] == (1, span["duration"])
+
+    def test_failed_request_clears_its_profiler_stage(self, setup):
+        class FailingPipeline:
+            def __init__(self, pipeline):
+                self._pipeline = pipeline
+
+            def stem_document(self, document):
+                return self._pipeline.stem_document(document)
+
+            def process_document(self, document, score=True):
+                raise RuntimeError("detector failed")
+
+        pipeline, interestingness, relevance, svm = setup
+        service = RankerService(
+            FailingPipeline(pipeline), interestingness, relevance, svm,
+            registry=MetricsRegistry(), tracer=Tracer(sample_every=0),
+        )
+        previous = set_stage_tracking(True)
+        try:
+            with pytest.raises(RuntimeError):
+                service.process("fidel castro visits havana")
+            assert threading.get_ident() not in active_stages()
+        finally:
+            set_stage_tracking(previous)
+
+    def test_throughput_from_the_stage_histograms(self, setup, env_stories):
         registry = MetricsRegistry()
         service = self._service(setup, registry, Tracer(registry=registry))
-        service.process(env_stories[0].text)
-        sequential = service.stats
-        service.reset_stats()
-        assert sequential.documents == 1  # captured view survives reset
-        assert service.stats.documents == 0
-        # registry counters are cumulative, not reset
-        snap = registry.snapshot()
-        assert snap["rank_documents_total"]["series"][0]["value"] == 1
+        before = service.throughput()
+        assert set(before) == {
+            "stemmer", "detect", "features", "rank", "ranker"
+        }
+        assert all(math.isnan(rate) for rate in before.values())
+        service.process_batch([s.text for s in env_stories[:4]], top=5)
+        megabytes = registry.snapshot()["rank_bytes_total"]["series"][0][
+            "value"
+        ] / 1e6
+        seconds = {
+            stage: total for stage, (__, total) in _stage_series(registry).items()
+        }
+        seconds["ranker"] = (
+            seconds["detect"] + seconds["features"] + seconds["rank"]
+        )
+        rates = service.throughput()
+        assert set(rates) == set(seconds)
+        for name, spent in seconds.items():
+            assert rates[name] == pytest.approx(megabytes / spent)
+        # a reset registry is a fresh measurement window again
+        registry.reset()
+        assert all(math.isnan(rate) for rate in service.throughput().values())
 
 
 class TestBuilderSpans:
@@ -642,17 +690,23 @@ class TestBuilderSpans:
             BuildConfig(workers=1), tracer=tracer
         ).build(env_world.web_corpus, env_log, phrases, tmp_path)
         stage_names = [stage.name for stage in report.stages]
-        series = registry.snapshot()["span_seconds"]["series"]
-        recorded = {s["labels"]["stage"] for s in series}
-        assert recorded == set(stage_names)
+        assert stage_names == [
+            "corpus", "index", "units", "interestingness", "relevance",
+            "quantize", "kernel", "pack",
+        ]
+        series = _stage_series(registry, "span_seconds")
+        assert set(series) == set(stage_names)
         # the sampled build trace carries the same stages, in order
         assert len(tracer.recent) == 1
         trace = tracer.recent[0]
         assert trace["kind"] == "build-pack"
         assert [span["name"] for span in trace["spans"]] == stage_names
-        # StageStats.seconds is the span duration, not a second clock
+        # StageStats.seconds, the histogram and the span are one
+        # measurement: the same two clock readings
         for stage, span in zip(report.stages, trace["spans"]):
-            assert stage.seconds == pytest.approx(span["duration"])
+            assert series[stage.name] == (1, stage.seconds)
+            assert stage.seconds == pytest.approx(span["duration"], abs=1e-9)
+            assert "children" not in span
 
 
 class TestPackMetrics:

@@ -206,16 +206,17 @@ class TestStageTracking:
         assert mark_stage("detect") is None  # tracking off again
 
     def test_tracer_spans_publish_stages_while_tracking(self):
+        """Every clock lap publishes the stage it opens; the last clears."""
         previous = set_stage_tracking(True)
         ident = threading.get_ident()
         try:
             tracer = Tracer(registry=MetricsRegistry())
-            with tracer.trace("req"):
-                with tracer.span("detect"):
-                    assert active_stages()[ident] == "detect"
-                    with tracer.span("features"):
-                        assert active_stages()[ident] == "features"
-                    assert active_stages()[ident] == "detect"  # restored
+            clock = tracer.clock(tracer.start("req"))
+            clock.lap("detect")
+            assert active_stages()[ident] == "detect"
+            clock.lap("features")
+            assert active_stages()[ident] == "features"
+            clock.lap(None)
             assert ident not in active_stages()
         finally:
             set_stage_tracking(previous)

@@ -280,7 +280,11 @@ class TestDebugEndpoints:
 
         first = threading.Thread(target=scrape)
         first.start()
-        time.sleep(0.3)  # let the first scrape take the lock
+        # wait until the first scrape holds the lock, not a fixed sleep
+        deadline = time.monotonic() + 10.0
+        while not stack._profile_lock.locked():
+            assert time.monotonic() < deadline, "first scrape never started"
+            time.sleep(0.005)
         status, body = _get(stack.url + "/debug/profile?seconds=0.1")
         first.join()
         assert results == [200]

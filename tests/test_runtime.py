@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.features import RelevanceModel, RelevanceScorer
+from repro.obs import MetricsRegistry
 from repro.ranking import RankSVM
 from repro.runtime import (
     MAX_SCORE_CODE,
@@ -162,7 +163,10 @@ class TestRankerService:
         y = X[:, 0]
         g = np.repeat(np.arange(8), 5)
         svm.fit(X, y, g)
-        return RankerService(env_pipeline, interestingness, relevance, svm)
+        return RankerService(
+            env_pipeline, interestingness, relevance, svm,
+            registry=MetricsRegistry(),
+        )
 
     def test_process_returns_ranked_detections(self, service, env_stories):
         ranked = service.process(env_stories[0].text)
@@ -173,21 +177,19 @@ class TestRankerService:
         assert len(service.process(env_stories[1].text, top=3)) <= 3
 
     def test_stats_accumulate(self, service, env_stories):
-        service.reset_stats()
+        service.registry.reset()
         service.process_batch([s.text for s in env_stories[:5]])
-        stats = service.stats
-        assert stats.documents == 5
-        assert stats.bytes_processed > 0
-        assert stats.stemmer_seconds > 0
-        assert stats.ranker_seconds > 0
-        assert stats.stemmer_mb_per_second > 0
-        assert stats.ranker_mb_per_second > 0
+        snapshot = service.registry.snapshot()
+        assert snapshot["rank_documents_total"]["series"][0]["value"] == 5
+        assert snapshot["rank_bytes_total"]["series"][0]["value"] > 0
+        rates = service.throughput()
+        assert rates["stemmer"] > 0
+        assert rates["ranker"] > 0
 
-    def test_empty_rate_guard(self):
+    def test_empty_rate_guard(self, service):
         # zero work reports nan ("no measurement"), never a fake 0.0
         # throughput — consistent with Histogram.quantile on empty data
-        from repro.runtime import TimingStats
-
-        stats = TimingStats()
-        assert np.isnan(stats.stemmer_mb_per_second)
-        assert np.isnan(stats.detections_per_document)
+        service.registry.reset()
+        rates = service.throughput()
+        assert np.isnan(rates["stemmer"])
+        assert np.isnan(rates["ranker"])

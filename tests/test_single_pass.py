@@ -29,7 +29,6 @@ from repro.runtime import (
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
     RankerService,
-    TimingStats,
 )
 from repro.text import (
     TokenizedDocument,
@@ -302,51 +301,6 @@ class TestSinglePass:
         assert document.words == tokenize_lower(text)
         assert document.stemmed_terms == stemmed_terms(text)
         assert document.stem_set == set(stemmed_terms(text))
-
-
-# -- parallel batch mode ---------------------------------------------------
-
-
-class TestProcessBatchWorkers:
-    def test_parallel_results_identical_to_sequential(self, service, env_stories):
-        documents = [s.text for s in env_stories[:12]]
-        sequential = service.process_batch(documents, top=5)
-        parallel = service.process_batch(documents, top=5, workers=4)
-        assert parallel == sequential
-
-    def test_parallel_stats_counters_match_sequential(self, service, env_stories):
-        documents = [s.text for s in env_stories[:8]]
-        service.reset_stats()
-        service.process_batch(documents, top=5)
-        sequential = service.stats
-        service.reset_stats()
-        service.process_batch(documents, top=5, workers=3)
-        parallel = service.stats
-        assert parallel.documents == sequential.documents == len(documents)
-        assert parallel.bytes_processed == sequential.bytes_processed
-        assert parallel.detections == sequential.detections
-        assert parallel.stemmer_seconds > 0
-        assert parallel.detection_seconds > 0
-        assert parallel.feature_seconds > 0
-        assert parallel.ranker_seconds >= parallel.detection_seconds
-
-    def test_more_workers_than_documents(self, service, env_stories):
-        documents = [s.text for s in env_stories[:3]]
-        assert service.process_batch(documents, workers=16) == service.process_batch(
-            documents
-        )
-
-    def test_empty_batch(self, service):
-        assert service.process_batch([], workers=4) == []
-
-    def test_timing_stats_merge(self):
-        left = TimingStats(stemmer_seconds=1.0, documents=2, detections=3)
-        right = TimingStats(stemmer_seconds=0.5, documents=1, detections=4)
-        merged = left.merge(right)
-        assert merged is left
-        assert left.stemmer_seconds == 1.5
-        assert left.documents == 3
-        assert left.detections == 7
 
 
 # -- TermVector satellites -------------------------------------------------
