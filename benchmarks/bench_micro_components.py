@@ -47,8 +47,8 @@ def test_micro_stemmed_terms_cached(benchmark, sample_text):
 
 
 def test_micro_phrase_matcher(benchmark, bench_env, sample_text):
-    matcher = bench_env.concept_detector._matcher
-    matches = benchmark(matcher.find, sample_text)
+    detector = bench_env.concept_detector
+    matches = benchmark(detector.detect, sample_text)
     assert isinstance(matches, list)
 
 

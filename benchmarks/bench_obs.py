@@ -36,7 +36,7 @@ for path in (_HERE, os.path.join(os.path.dirname(_HERE), "src")):
         sys.path.insert(0, path)
 
 from _report import attach_metrics, record_section
-from bench_hotpath import build_service
+from _service import build_service
 from repro.obs import configure, get_registry
 
 SNAPSHOT_PATH = os.path.join(_HERE, "BENCH_obs.json")
@@ -110,7 +110,7 @@ def run_obs_benchmark(document_count=DOCUMENT_COUNT, repeats=REPEATS):
     assert documents == documents_on == documents_quality  # same seeds
     total_bytes = sum(len(text.encode("utf-8")) for text in documents)
 
-    # one warmup pass each (tries/caches settle identically)
+    # one warmup pass each (kernels compile, caches settle identically)
     results_off = service_off.process_batch(documents, top=5)
     results_on = service_on.process_batch(documents, top=5)
     results_quality = service_quality.process_batch(documents, top=5)

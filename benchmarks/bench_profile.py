@@ -2,9 +2,10 @@
 
 PR 7's continuous-profiling story only works if leaving the
 :class:`~repro.obs.profile.StackSampler` attached to a serving process
-is effectively free.  This benchmark times the automaton hot path
-(compiled kernel attached, same service shape as ``bench_hotpath``)
-with the sampler disabled and enabled at the default 97 hz and records:
+is effectively free.  This benchmark times the serving path
+(the compiled detection kernel, the service shape of ``_service.py``
+that ``bench_obs.py`` also times) with the sampler disabled and
+enabled at the default 97 hz and records:
 
 * the overhead fraction (profiled / baseline - 1) with a hard bar:
   <= 2% on full-size runs (the smoke bar is looser because a few dozen
@@ -38,7 +39,7 @@ for path in (_HERE, os.path.join(os.path.dirname(_HERE), "src")):
         sys.path.insert(0, path)
 
 from _report import attach_metrics, record_section
-from bench_hotpath import build_service
+from _service import build_service
 from repro.obs.profile import StackSampler
 
 SNAPSHOT_PATH = os.path.join(_HERE, "BENCH_profile.json")
@@ -60,12 +61,8 @@ def run_profile_benchmark(document_count=DOCUMENT_COUNT):
     service, documents = build_service(document_count)
     total_bytes = sum(len(text.encode("utf-8")) for text in documents)
 
-    # the profiled subject is the *fastest* shape we ship — the compiled
-    # automaton path — because that is where a fixed per-sample cost
-    # hurts the most in relative terms
-    kernel = service._pipeline.compile_kernel()
-    service._pipeline.attach_kernel(kernel)
-    service.process_batch(documents, top=5)  # untimed memo warm-up
+    # untimed warm-up: compiles the pipeline's kernel, fills the memos
+    service.process_batch(documents, top=5)
 
     infinity = float("inf")
     baseline_seconds = profiled_seconds = infinity

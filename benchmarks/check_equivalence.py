@@ -1,11 +1,12 @@
 """CI guard: fail if any checked-in benchmark equivalence flag is false.
 
-The benchmark snapshots (``BENCH_hotpath.json``, ``BENCH_store.json``,
-``BENCH_offline.json``) carry boolean flags proving the optimized paths reproduce the seed
-implementations exactly — single-pass vs multi-pass detections,
-columnar/compressed/mmap scoring vs the seed per-element loop.  A perf PR that breaks equivalence but still
-"passes" its speed bar must not merge; this script turns any false flag
-into a CI failure.
+The benchmark snapshots carry boolean flags proving the optimized paths
+reproduce their references exactly — ``BENCH_store.json``: columnar,
+compressed and mmap scoring vs the seed per-element loop;
+``BENCH_obs.json`` / ``BENCH_profile.json``: ranked output unchanged
+with observability or the profiler attached.  A perf PR that breaks
+equivalence but still "passes" its speed bar must not merge; this
+script turns any false flag into a CI failure.
 
 Usage: ``python benchmarks/check_equivalence.py [snapshot.json ...]``
 (defaults to the snapshots next to this file).
@@ -18,33 +19,18 @@ import sys
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 DEFAULT_SNAPSHOTS = (
-    os.path.join(_HERE, "BENCH_hotpath.json"),
     os.path.join(_HERE, "BENCH_store.json"),
-    os.path.join(_HERE, "BENCH_offline.json"),
     os.path.join(_HERE, "BENCH_obs.json"),
     os.path.join(_HERE, "BENCH_profile.json"),
 )
 
 # snapshot basename -> dotted paths of the boolean flags it must carry
 REQUIRED_FLAGS = {
-    "BENCH_hotpath.json": (
-        "results_identical_to_seed_path",
-        "automaton.identical_to_seed_path",
-        "automaton.identical_to_pure_python",
-    ),
     "BENCH_store.json": (
         "equivalence.columnar_matches_seed",
         "equivalence.score_matches_score_many",
         "equivalence.compressed_matches_seed",
         "equivalence.mmap_load_matches_memory",
-    ),
-    "BENCH_offline.json": (
-        "equivalence.pack_bytes_identical",
-        "equivalence.parallel_pack_identical",
-        "equivalence.frozen_index_matches_dict",
-        "equivalence.parallel_mining_matches_serial",
-        "equivalence.vectorized_units_match_seed",
-        "equivalence.vectorized_miner_matches_seed",
     ),
     "BENCH_obs.json": (
         "equivalence.identical_with_observability",

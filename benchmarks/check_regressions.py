@@ -2,7 +2,7 @@
 
 ``check_equivalence.py`` guards correctness (boolean flags); this
 script guards the performance history.  Every ``BENCH_*.json`` snapshot
-carries machine-independent ratios — speedups over the seed paths,
+carries machine-independent ratios — speedups over a seed path,
 compression ratios, instrumentation overhead fractions — measured and
 checked in by the PR that earned them.  The table below records the
 accepted trajectory; a snapshot honestly re-recorded on a regressed
@@ -36,21 +36,10 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 # snapshot basename -> dotted path -> bound.  Floors are 80% of the
 # value recorded by the PR that established the bound (noted inline).
 BASELINES = {
-    "BENCH_hotpath.json": {
-        # PR 6 recorded 10.2x / 1.8x for the compiled automaton path
-        "automaton.speedup_vs_seed": {"min": 8.2},
-        "automaton.speedup_vs_single_pass": {"min": 1.44},
-    },
     "BENCH_store.json": {
         # PR 2 recorded 18.0x columnar lookup, 1.81x pack compression
         "lookup.speedup_columnar_vs_seed": {"min": 14.4},
         "resident.compression_ratio": {"min": 1.45},
-    },
-    "BENCH_offline.json": {
-        # PR 3 recorded 3.7x end-to-end, 5.1x relevance, 4.4x corpus
-        "speedup.end_to_end": {"min": 2.97},
-        "speedup.relevance_stage": {"min": 4.11},
-        "speedup.corpus_and_index": {"min": 3.5},
     },
     "BENCH_obs.json": {
         # PR 4/5 bars: metrics+tracing <= 3%, quality monitors <= 1%

@@ -296,14 +296,9 @@ def _cmd_build_pack(args: argparse.Namespace) -> int:
     world = SyntheticWorld.build(world_config)
     query_log = query_log_for_world(world, seed=101)
     phrases = [" ".join(concept.terms) for concept in world.concepts]
-    config = BuildConfig(
-        fast=not args.seed_path,
-        workers=args.workers,
-        resource=args.resource,
-    )
+    config = BuildConfig(workers=args.workers, resource=args.resource)
     print(
-        f"building packs ({config.resolved_workers()} worker(s), "
-        f"{'seed' if args.seed_path else 'fast'} pipeline) ...",
+        f"building packs ({config.resolved_workers()} worker(s)) ...",
         flush=True,
     )
     with _maybe_profiler(args):
@@ -357,9 +352,6 @@ def _build_quick_service(
     )
 
     env = _build_env(_QUICK_WORLD, quiet=quiet)
-    if getattr(args, "pure_python", False):
-        # the selectable reference path: trie matching + Porter stemming
-        env.pipeline.attach_kernel(None)
     baseline = None
     if pack_dir is not None:
         from repro.obs.quality import load_baseline
@@ -377,21 +369,14 @@ def _build_quick_service(
         )
         relevance = load_relevance_store(str(pack / "relevance.rpak"))
         detection_pack = pack / "detection.rpak"
-        if detection_pack.exists() and not getattr(args, "pure_python", False):
-            try:
-                env.pipeline.attach_kernel(
-                    load_detection_kernel(str(detection_pack))
-                )
-                if not quiet:
-                    print("  detection kernel: loaded from pack", flush=True)
-            except ValueError as error:
-                # pack built against a different inventory: keep the
-                # lazily-compiled kernel instead of a mismatched one
-                if not quiet:
-                    print(
-                        f"  detection kernel: not attached ({error})",
-                        flush=True,
-                    )
+        if detection_pack.exists():
+            # a kernel compiled for other inventories fails here, at
+            # load, instead of silently detecting the wrong phrases
+            env.pipeline.attach_kernel(
+                load_detection_kernel(str(detection_pack))
+            )
+            if not quiet:
+                print("  detection kernel: loaded from pack", flush=True)
         baseline = load_baseline(pack_dir)
         if baseline is None and not quiet:
             print(
@@ -623,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relevance-mining resource to pack",
     )
     build_pack.add_argument(
-        "--seed-path", action="store_true",
-        help="run the seed-style serial dict pipeline (equivalence baseline)",
-    )
-    build_pack.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write the sampled build trace as JSON lines to PATH",
     )
@@ -669,10 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Prometheus text (default) or the JSON snapshot",
     )
     stats.add_argument(
-        "--pure-python", action="store_true",
-        help="run the pure-Python detection path (no compiled kernel)",
-    )
-    stats.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write sampled traces as JSON lines to PATH",
     )
@@ -699,10 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--relevance-phrases", type=int, default=40,
                        help="concepts to mine when building in-process")
-    serve.add_argument(
-        "--pure-python", action="store_true",
-        help="run the pure-Python detection path (no compiled kernel)",
-    )
     serve.add_argument("--top", type=int, default=10,
                        help="default result count for /explain")
     serve.add_argument(

@@ -9,7 +9,6 @@ from repro.detection.base import (
 )
 from repro.detection.concepts import ConceptDetector, detectable_concept_phrases
 from repro.detection.conceptvector import ConceptVectorScorer
-from repro.detection.matcher import PhraseMatcher
 from repro.detection.named import NamedEntityDetector
 from repro.detection.patterns import PatternDetector
 from repro.detection.pipeline import (
@@ -27,7 +26,6 @@ __all__ = [
     "ConceptDetector",
     "detectable_concept_phrases",
     "ConceptVectorScorer",
-    "PhraseMatcher",
     "NamedEntityDetector",
     "PatternDetector",
     "AnnotatedDocument",

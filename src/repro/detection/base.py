@@ -10,7 +10,10 @@ the baseline ranker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+from repro.detection.kernel import FlatAutomaton, Phrase, phrase_inventory
+from repro.text.tokenized import TokenizedDocument
 
 KIND_PATTERN = "pattern"
 KIND_NAMED = "named"
@@ -96,3 +99,39 @@ class Detection:
         """Collision priority: longer spans win, then kind priority."""
         # inline of `self.length`: priority() is a per-detection sort key
         return (self.end - self.start, _KIND_PRIORITY.get(self.kind, 0))
+
+
+class PhraseDetector:
+    """A fixed phrase inventory matched by one compiled automaton.
+
+    The shared half of the concept and named-entity detectors.  In a
+    pipeline, matching runs through the view of the pipeline's
+    :class:`~repro.detection.kernel.DetectionKernel` that the pipeline
+    attaches; a detector used on its own compiles an automaton for its
+    inventory on first use.
+    """
+
+    def __init__(self, phrases: Iterable[Phrase]):
+        self._inventory = phrase_inventory(phrases)
+        self._automaton = None
+
+    def inventory(self) -> List[Phrase]:
+        """The lower-cased, deduplicated inventory (kernel compilation)."""
+        return list(self._inventory)
+
+    def attach_automaton(self, automaton) -> None:
+        """Match through *automaton*: the kernel view the pipeline
+        attaches after checking it against :meth:`inventory`."""
+        self._automaton = automaton
+
+    def find_phrases(
+        self, document: TokenizedDocument
+    ) -> List[Tuple[Phrase, int, int]]:
+        """(phrase, char_start, char_end) matches in document order.
+
+        Longest match wins at each position and the scan resumes past
+        it, so matches never overlap (the production segmentation).
+        """
+        if self._automaton is None:
+            self._automaton = FlatAutomaton.for_phrases(self._inventory)
+        return self._automaton.find_phrases(document)

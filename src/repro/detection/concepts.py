@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Set, Tuple
 
-from repro.detection.base import KIND_CONCEPT, Detection
-from repro.detection.matcher import PhraseMatcher
+from repro.detection.base import KIND_CONCEPT, Detection, PhraseDetector
 from repro.querylog.log import QueryLog
 from repro.querylog.units import UnitLexicon
 from repro.text.tokenized import TokenizedDocument
@@ -41,13 +40,13 @@ def detectable_concept_phrases(
     return detectable
 
 
-class ConceptDetector:
+class ConceptDetector(PhraseDetector):
     """Detects occurrences of the detectable concept inventory."""
 
     def __init__(self, phrases: Iterable[Phrase], lexicon: UnitLexicon):
         self._phrases = {tuple(p) for p in phrases}
         self._lexicon = lexicon
-        self._matcher = PhraseMatcher(self._phrases)
+        super().__init__(self._phrases)
 
     @property
     def inventory_size(self) -> int:
@@ -57,15 +56,6 @@ class ConceptDetector:
     def lexicon(self) -> UnitLexicon:
         """The unit lexicon backing `unit_score` (kernel compilation)."""
         return self._lexicon
-
-    def inventory(self) -> List[Phrase]:
-        """The deduplicated detectable inventory (kernel compilation)."""
-        return self._matcher.inventory()
-
-    def attach_automaton(self, automaton) -> None:
-        """Route detection through a compiled automaton (None restores
-        the pure-Python trie path)."""
-        self._matcher.attach_automaton(automaton)
 
     def detect(self, text: str) -> List[Detection]:
         """All concept occurrences in *text*."""
@@ -77,7 +67,7 @@ class ConceptDetector:
         make = Detection.make
         return [
             make(text[start:end], start, end, KIND_CONCEPT, None, phrase)
-            for phrase, start, end in self._matcher.find_document(document)
+            for phrase, start, end in self.find_phrases(document)
         ]
 
     def unit_score(self, phrase: Sequence[str]) -> float:

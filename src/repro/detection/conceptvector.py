@@ -21,10 +21,10 @@ rows of Tables III-V).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.detection.kernel import DetectionKernel
 from repro.querylog.units import UnitLexicon
-from repro.text.stopwords import is_stopword
 from repro.text.tokenized import DocumentLike, TokenizedDocument
 from repro.text.vectorize import DocumentFrequencyTable, TermVector
 
@@ -47,64 +47,47 @@ class ConceptVectorScorer:
         self.prune_threshold = prune_threshold
         self.punish_factor = punish_factor
         self.multi_term_bonus = multi_term_bonus
-        self._kernel = None
+        self._kernel: Optional[DetectionKernel] = None
+
+    @property
+    def doc_frequency(self) -> DocumentFrequencyTable:
+        """The table the term vector's tf*idf weights come from."""
+        return self._doc_frequency
 
     @property
     def lexicon(self) -> UnitLexicon:
         """The unit lexicon the unit vector segments with."""
         return self._lexicon
 
-    def attach_kernel(self, kernel) -> None:
-        """Compute counts/segments through a compiled
-        :class:`~repro.detection.kernel.DetectionKernel` (None restores
-        the pure-Python passes).  Only the counting and segmentation
-        change; the tf*idf, shaping, and merge arithmetic is the same
-        code either way, so scores are float-identical.
-        """
+    def attach_kernel(self, kernel: DetectionKernel) -> None:
+        """Count terms and segment units through *kernel* (the
+        pipeline's).  A scorer used on its own compiles a lexicon-only
+        kernel the first time it scores a document."""
         self._kernel = kernel
 
-    # -- the two component vectors -----------------------------------------
-
-    def _shape_term_counts(self, counts: Dict[str, int]) -> TermVector:
-        """Shared tf*idf + normalize/punish/prune over raw term counts."""
-        return TermVector._adopt(self._doc_frequency.tf_idf(counts)).shaped(
-            self.punish_threshold, self.punish_factor, self.prune_threshold
-        )
+    def _ensure_kernel(self) -> DetectionKernel:
+        if self._kernel is None:
+            # no detector automata; the tf*idf table's vocabulary keeps
+            # term counting in id space for every word it knows
+            self._kernel = DetectionKernel.build(
+                lexicon=self._lexicon, vocab_terms=self._doc_frequency.terms()
+            )
+        return self._kernel
 
     def _shape_unit_weights(self, weights: Dict[str, float]) -> TermVector:
-        """Shared punish/prune over raw unit weights."""
-        return TermVector._adopt(weights).shaped(
-            self.punish_threshold,
-            self.punish_factor,
-            self.prune_threshold,
-            normalize=False,
-        )
-
-    def term_vector(self, tokens: Sequence[str]) -> TermVector:
-        """Normalized, punished, pruned tf*idf vector over single terms."""
-        counts: Dict[str, int] = {}
-        for token in tokens:
-            if is_stopword(token):
-                continue
-            counts[token] = counts.get(token, 0) + 1
-        return self._shape_term_counts(counts)
-
-    def unit_vector(self, tokens: Sequence[str]) -> TermVector:
-        """Punished, pruned vector of units found in the document.
+        """Punish/prune the raw unit weights.
 
         Unit scores arrive already normalized into [0, 1] *globally* by
         the miner ("unit scores are also normalized to be between 0 and
         1") — they are deliberately NOT re-normalized per document, so
         a document full of weak units keeps weak unit weights.
         """
-        weights: Dict[str, float] = {}
-        for segment in self._lexicon.segment(list(tokens)):
-            score = self._lexicon.score(segment)
-            if score <= 0.0:
-                continue
-            phrase = " ".join(segment)
-            weights[phrase] = max(weights.get(phrase, 0.0), score)
-        return self._shape_unit_weights(weights)
+        return TermVector._adopt(weights).shaped(
+            self.punish_threshold,
+            self.punish_factor,
+            self.prune_threshold,
+            normalize=False,
+        )
 
     # -- merge ---------------------------------------------------------------
 
@@ -113,27 +96,23 @@ class ConceptVectorScorer:
 
         Accepts a raw string or a shared :class:`TokenizedDocument`; the
         latter avoids re-tokenizing inside the single-pass pipeline.
-        With a compiled kernel attached, counting runs over the cached
-        interned id array and segmentation through the unit automaton.
+        Counting runs over the document's interned id array and
+        segmentation through the kernel's unit automaton.
         """
         document = TokenizedDocument.of(text)
-        if self._kernel is not None:
-            # the kernel fuses counting, tf*idf, and shaping into id-
-            # space array passes; per-entry arithmetic is identical
-            terms = TermVector._adopt(
-                self._kernel.term_weights(
-                    document,
-                    self._doc_frequency,
-                    self.punish_threshold,
-                    self.punish_factor,
-                    self.prune_threshold,
-                )
+        kernel = self._ensure_kernel()
+        # the kernel fuses counting, tf*idf, and shaping (normalize,
+        # punish, prune) into id-space array passes
+        terms = TermVector._adopt(
+            kernel.term_weights(
+                document,
+                self._doc_frequency,
+                self.punish_threshold,
+                self.punish_factor,
+                self.prune_threshold,
             )
-            units = self._shape_unit_weights(self._kernel.unit_weights(document))
-        else:
-            tokens = document.words
-            terms = self.term_vector(tokens)
-            units = self.unit_vector(tokens)
+        )
+        units = self._shape_unit_weights(kernel.unit_weights(document))
 
         merged: Dict[str, float] = {}
         terms_weights = terms.weights

@@ -1,10 +1,9 @@
 """Compiled detection kernels: flat Aho–Corasick automata + stem table.
 
-The runtime detectors used to walk a Python token trie per document
-position and re-stem every word through the Porter code path.  This
-module compiles the whole per-document "analysis" half of the hot path
-into flat tables built once (offline by the pack builder, or lazily the
-first time a pipeline processes a document):
+This is the one execution path for the per-document "analysis" half of
+the hot path: phrase matching, the stemmer pass, and the concept-vector
+baseline's counting and unit segmentation all run over flat tables
+built once (offline by the pack builder, or on first use):
 
 * :class:`TokenInterner` — the shared token vocabulary.  Every word of
   a document is interned to an ``int32`` id exactly once (the id stream
@@ -12,24 +11,22 @@ first time a pipeline processes a document):
   and every downstream kernel consumes ids instead of strings.
 * :class:`StemTable` — vocab id -> (stopword flag, stem string).  The
   runtime stemmer pass becomes two list indexes per token; the Porter
-  fallback runs only for out-of-vocabulary words.
+  stemmer runs only for out-of-vocabulary words.
 * :class:`FlatAutomaton` — an Aho–Corasick automaton over token ids
   with dense ``int32`` goto columns (fail transitions pre-resolved into
   the goto table), ``int32`` fail/output-length/output-link columns,
   and an optional ``float64`` score column per terminal state.  One
-  O(tokens) scan replaces the trie's per-position walk, and the match
-  set is reduced to the trie's leftmost-longest greedy selection, so
-  the emitted spans are identical to the Python path.
+  O(tokens) scan finds every match; the match set is reduced to the
+  leftmost-longest greedy selection (longest match at a position, then
+  resume past it).
 * :class:`DetectionKernel` — the bundle the pipeline attaches: one
   interner + stem table shared by the concept and named-entity
   automata (fused into one tagged scan) and the unit-segmentation
   automaton that only the concept-vector baseline scorer reads.
 
-Equivalence is structural, not statistical: the automata are compiled
-from the very phrase inventories the tries hold, the stem table from
-the same ``stem``/``is_stopword`` functions, and every consumer keeps
-its pure-Python path selectable (``benchmarks/bench_hotpath.py`` and
-``tests/test_detection_kernel.py`` cross-check byte-identical output).
+The seed-era reference implementations (the per-position phrase walk
+and the per-term vector passes) live in ``tests/reference.py``; the
+tests cross-check every compiled structure against them.
 """
 
 from __future__ import annotations
@@ -176,6 +173,22 @@ class StemTable:
         return out
 
 
+def phrase_inventory(phrases: Iterable[Phrase]) -> List[Phrase]:
+    """*phrases* lower-cased and deduplicated, empty phrases dropped,
+    first-seen order kept: the inventory an automaton is compiled for."""
+    inventory: Dict[Phrase, None] = {}
+    for phrase in phrases:
+        phrase = tuple(term.lower() for term in phrase)
+        if phrase:
+            inventory[phrase] = None
+    return list(inventory)
+
+
+def _describe(inventory: Optional[set]) -> str:
+    """*inventory*'s size for an error message ("none" when absent)."""
+    return "none" if inventory is None else f"{len(inventory)} phrases"
+
+
 def _as_list(column) -> list:
     """*column* as a plain list: an ndarray converts in one C pass."""
     if isinstance(column, list):
@@ -271,13 +284,7 @@ class FlatAutomaton:
         kernel builder guarantees that by folding phrase tokens into the
         vocab before compiling.
         """
-        inventory: List[Phrase] = []
-        seen = set()
-        for phrase in phrases:
-            phrase = tuple(term.lower() for term in phrase)
-            if phrase and phrase not in seen:
-                seen.add(phrase)
-                inventory.append(phrase)
+        inventory = phrase_inventory(phrases)
 
         # alphabet: symbols 1..A-1 for tokens used by any phrase
         sym = [0] * (len(interner) + 1)
@@ -363,6 +370,18 @@ class FlatAutomaton:
             phrase_count=len(inventory),
             out_score=out_score,
         )
+
+    @classmethod
+    def for_phrases(cls, phrases: Iterable[Phrase]) -> "FlatAutomaton":
+        """Compile *phrases* over a vocabulary of their own tokens.
+
+        What a detector used outside a pipeline matches with: every
+        word no phrase contains interns to the OOV sentinel, which the
+        scan treats like any other non-phrase token.
+        """
+        inventory = phrase_inventory(phrases)
+        terms = sorted({term for phrase in inventory for term in phrase})
+        return cls.compile(inventory, TokenInterner(terms))
 
     # -- serialization ---------------------------------------------------
 
@@ -462,12 +481,11 @@ class FlatAutomaton:
         return best
 
     def find_token_spans(self, ids: Sequence[int]) -> List[Tuple[int, int]]:
-        """Leftmost-longest non-overlapping token spans (trie semantics).
+        """Leftmost-longest non-overlapping token spans.
 
-        Reduces the automaton's full match set with the trie walk's
-        greedy rule — take the longest match at the scan position, then
-        resume past it — so the spans are exactly what
-        ``PhraseMatcher.find_document_trie`` emits.
+        Reduces the automaton's full match set with the greedy rule of
+        the production segmentation: take the longest match at the scan
+        position, then resume past it.
         """
         return [(s, e) for s, e, __ in self.find_scored_spans(ids)]
 
@@ -490,7 +508,11 @@ class FlatAutomaton:
     def find_phrases(
         self, document: TokenizedDocument
     ) -> List[Tuple[Phrase, int, int]]:
-        """(phrase, char_start, char_end) matches — the matcher protocol."""
+        """(phrase, char_start, char_end) matches, document order.
+
+        The detectors' matching protocol: phrases are the matched
+        (lower-cased) words, offsets the surface span in the text.
+        """
         ids = document.token_ids(self.interner)
         spans = self.find_token_spans(ids)
         if not spans:
@@ -550,12 +572,12 @@ class CombinedAutomaton:
 
     @classmethod
     def compile(
-        cls, interner: TokenInterner, tagged: Sequence[Tuple[FlatAutomaton, int]]
+        cls, interner: TokenInterner, tagged: Sequence[Tuple[Sequence[Phrase], int]]
     ) -> "CombinedAutomaton":
-        """Fuse *(automaton, tag)* pairs into one tagged automaton."""
+        """Fuse *(inventory, tag)* pairs into one tagged automaton."""
         tag_of: Dict[Phrase, int] = {}
-        for automaton, tag in tagged:
-            for phrase, __ in automaton.phrase_states():
+        for inventory, tag in tagged:
+            for phrase in inventory:
                 tag_of[phrase] = tag_of.get(phrase, 0) | tag
         base = FlatAutomaton.compile(tag_of, interner)
         tags = [0] * base.state_count
@@ -609,15 +631,13 @@ class CombinedAutomaton:
 
 
 class TaggedPhraseView:
-    """Matcher-protocol adapter over the kernel's shared combined scan.
+    """One detector's matches, read off the kernel's shared combined scan.
 
-    Exposes the one method :class:`~repro.detection.matcher.
-    PhraseMatcher` calls on an attached automaton (``find_phrases``)
-    plus the attributes it validates against, but resolves matches from
-    the kernel's cached per-document combined scan, so the concept and
-    named detectors together trigger a single pass.  Falls back to the
-    wrapped per-detector automaton when the kernel has no combined
-    automaton (only one of the two inventories).
+    What the pipeline attaches to a detector: ``find_phrases`` resolves
+    the detector's matches from the kernel's cached per-document
+    combined scan, so the concept and named detectors together trigger
+    a single pass.  Falls back to the detector's own automaton when the
+    kernel has no combined automaton (only one of the two inventories).
     """
 
     __slots__ = ("_kernel", "_slot", "automaton")
@@ -626,17 +646,6 @@ class TaggedPhraseView:
         self._kernel = kernel
         self._slot = slot
         self.automaton = automaton
-
-    @property
-    def phrase_count(self) -> int:
-        return self.automaton.phrase_count
-
-    @property
-    def interner(self) -> TokenInterner:
-        return self.automaton.interner
-
-    def find_token_spans(self, ids: Sequence[int]) -> List[Tuple[int, int]]:
-        return self.automaton.find_token_spans(ids)
 
     def find_phrases(
         self, document: TokenizedDocument
@@ -678,7 +687,9 @@ class DetectionKernel:
     ``concepts`` and ``named`` are fused into one
     :class:`CombinedAutomaton` scan (detection); ``units`` is scanned
     on its own, and only by the concept-vector baseline
-    (:meth:`unit_weights`).
+    (:meth:`unit_weights`).  A kernel with neither detector automaton
+    (``DetectionKernel.build(lexicon=...)``) is what a concept-vector
+    scorer used outside a pipeline compiles for itself.
     """
 
     def __init__(
@@ -712,11 +723,26 @@ class DetectionKernel:
         )
         self._tid_cache = None  # (table identity+size, vid->TID column)
         self._idf_cache = None  # (table identity+version, vid->idf column)
+        # The phrase inventories the detector automata were compiled
+        # for, recovered from their columns (None: no such automaton).
+        # `check_inventories` compares them with a pipeline's detectors.
+        self.inventories: Dict[str, Optional[List[Phrase]]] = {
+            name: (
+                [phrase for phrase, __ in automaton.phrase_states()]
+                if automaton is not None
+                else None
+            )
+            for name, automaton in (("concepts", concepts), ("named", named))
+        }
         # Fuse the two detector inventories into one tagged scan (with
         # a single automaton there is nothing to share).
         self._combined = (
             CombinedAutomaton.compile(
-                interner, [(concepts, TAG_CONCEPTS), (named, TAG_NAMED)]
+                interner,
+                [
+                    (self.inventories["concepts"], TAG_CONCEPTS),
+                    (self.inventories["named"], TAG_NAMED),
+                ],
             )
             if concepts is not None and named is not None
             else None
@@ -789,9 +815,9 @@ class DetectionKernel:
                 for u in units
                 if len(u.terms) > 1
             }
-            # sorted: the lexicon's dict order depends on mining
-            # internals (seed vs vectorized miner), but the automaton
-            # layout — and the pack bytes — must not
+            # sorted: the lexicon's dict order is an artifact of the
+            # mining order, but the automaton layout — and the pack
+            # bytes — must not depend on it
             units_automaton = FlatAutomaton.compile(
                 sorted(multi), interner, scores=multi
             )
@@ -809,6 +835,29 @@ class DetectionKernel:
             units=units_automaton,
             unit_single_scores=unit_single_scores,
         )
+
+    def check_inventories(
+        self,
+        concepts: Optional[Iterable[Phrase]],
+        named: Optional[Iterable[Phrase]],
+    ) -> None:
+        """Raise ``ValueError`` unless the kernel matches these inventories.
+
+        *concepts* and *named* are a pipeline's detector inventories
+        (None for a detector it does not have).  They are compared with
+        the compiled ones as sets; an inventory present on only one
+        side is a mismatch too.  The error names the inventory.
+        """
+        for name, expected in (("concepts", concepts), ("named", named)):
+            compiled = self.inventories[name]
+            compiled_set = set(compiled) if compiled is not None else None
+            expected_set = set(expected) if expected is not None else None
+            if compiled_set != expected_set:
+                raise ValueError(
+                    f"detection kernel was compiled for a different {name} "
+                    f"inventory (kernel: {_describe(compiled_set)}, "
+                    f"detector: {_describe(expected_set)})"
+                )
 
     # -- per-document kernels --------------------------------------------
 
@@ -905,34 +954,6 @@ class DetectionKernel:
         self._tid_cache = (key, mapping)
         return mapping
 
-    def term_counts(self, document: TokenizedDocument) -> Dict[str, int]:
-        """Stopword-free term counts (the term-vector counting pass).
-
-        In-vocabulary counting is one ``np.bincount`` over the cached id
-        array; only OOV words fall back to the per-token Python loop.
-        Counts are integer-identical to the seed loop (dict order may
-        differ; every downstream weight is computed per-entry).
-        """
-        ids = document.token_id_array(self.interner)
-        oov = self.interner.oov
-        counts_by_id = np.bincount(ids, minlength=oov + 1)
-        present = (counts_by_id.astype(bool) & self._content_mask).nonzero()[0]
-        terms = self.interner.terms
-        counts: Dict[str, int] = {
-            terms[vid]: count
-            for vid, count in zip(
-                present.tolist(), counts_by_id[present].tolist()
-            )
-        }
-        if counts_by_id[oov]:
-            words = document.words
-            for position, vid in enumerate(document.token_ids(self.interner)):
-                if vid == oov:
-                    word = words[position]
-                    if not is_stopword(word):
-                        counts[word] = counts.get(word, 0) + 1
-        return counts
-
     def _idf_column(self, doc_frequency) -> np.ndarray:
         """vid -> idf column for *doc_frequency*, cached per version.
 
@@ -996,7 +1017,9 @@ class DetectionKernel:
                 word: count * idf(word) for word, count in counts.items()
             }
 
-        peak = weights.max() if weights.size else 0.0
+        # a plain float, so OOV weights divided by it stay plain floats
+        # like the in-vocabulary ones (`tolist` below)
+        peak = float(weights.max()) if weights.size else 0.0
         if oov_weights:
             peak = max(peak, max(oov_weights.values()))
         terms = self.interner.terms

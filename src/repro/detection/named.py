@@ -19,11 +19,7 @@ from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.corpus.dictionaries import EditorialDictionary
-from repro.detection.base import KIND_NAMED, Detection
-from repro.detection.matcher import PhraseMatcher
-
-Phrase = Tuple[str, ...]
-
+from repro.detection.base import KIND_NAMED, Detection, PhraseDetector
 from repro.text.tokenized import TokenizedDocument
 
 
@@ -35,12 +31,12 @@ class _PhraseRecord(NamedTuple):
     candidates: Tuple[Tuple[str, int], ...]  # (type, -first_index) prefs
 
 
-class NamedEntityDetector:
+class NamedEntityDetector(PhraseDetector):
     """Dictionary-driven detector with type disambiguation."""
 
     def __init__(self, dictionary: EditorialDictionary):
         self._dictionary = dictionary
-        self._matcher = PhraseMatcher(
+        super().__init__(
             tuple(phrase.split()) for phrase in dictionary.phrases()
         )
         # Hoist every per-match dictionary call the detect loop used to
@@ -72,15 +68,6 @@ class NamedEntityDetector:
                 candidates=candidates,
             )
 
-    def inventory(self) -> List[Phrase]:
-        """The deduplicated dictionary inventory (kernel compilation)."""
-        return self._matcher.inventory()
-
-    def attach_automaton(self, automaton) -> None:
-        """Route matching through a compiled automaton (None restores
-        the pure-Python trie path)."""
-        self._matcher.attach_automaton(automaton)
-
     def detect(self, text: str) -> List[Detection]:
         """All dictionary entities in *text* with resolved types."""
         return self.detect_document(TokenizedDocument.of(text))
@@ -88,7 +75,7 @@ class NamedEntityDetector:
     def detect_document(self, document: TokenizedDocument) -> List[Detection]:
         """`detect` over a shared token stream (no re-tokenizing)."""
         text = document.text
-        matches = self._matcher.find_document(document)
+        matches = self.find_phrases(document)
         if not matches:
             return []
         records = self._records

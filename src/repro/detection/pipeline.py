@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 from repro.detection.base import KIND_PATTERN, Detection
 from repro.detection.concepts import ConceptDetector
 from repro.detection.conceptvector import ConceptVectorScorer
+from repro.detection.kernel import DetectionKernel
 from repro.detection.named import NamedEntityDetector
 from repro.detection.patterns import PatternDetector
 from repro.text.html import strip_html
@@ -105,19 +106,14 @@ def deduplicate(detections: List[Detection]) -> List[Detection]:
 class ShortcutsPipeline:
     """End-to-end detection: HTML -> candidates with baseline scores.
 
-    *kernel* selects the per-document execution path:
-
-    * ``"auto"`` (default) — compile a
-      :class:`~repro.detection.kernel.DetectionKernel` from the live
-      inventories the first time a document is processed, then run the
-      compiled path;
-    * ``"off"`` / ``None`` — pure-Python path (the trie walk, the
-      Porter stemmer pass, the lexicon segmentation);
-    * a :class:`~repro.detection.kernel.DetectionKernel` — attach a
-      prebuilt kernel (typically loaded from a data pack).
-
-    Both paths produce byte-identical output; the equivalence is
-    enforced by ``benchmarks/bench_hotpath.py`` and the automaton tests.
+    Every document runs through one compiled
+    :class:`~repro.detection.kernel.DetectionKernel`: its stem table is
+    the stemmer pass, its fused automaton scan feeds both phrase
+    detectors, and its id-space passes build the concept vector.
+    *kernel* attaches a prebuilt kernel (typically loaded from a data
+    pack), which must have been compiled for the detectors'
+    inventories; with None the pipeline compiles one from its live
+    inventories the first time it processes a document.
     """
 
     def __init__(
@@ -126,27 +122,24 @@ class ShortcutsPipeline:
         scorer: ConceptVectorScorer,
         named_detector: Optional[NamedEntityDetector] = None,
         pattern_detector: Optional[PatternDetector] = None,
-        kernel="auto",
+        kernel: Optional[DetectionKernel] = None,
     ):
         self._concepts = concept_detector
         self._scorer = scorer
         self._named = named_detector
         self._patterns = pattern_detector or PatternDetector()
-        self._kernel = None
-        self._kernel_auto = False
-        if kernel == "auto":
-            self._kernel_auto = True
-        elif kernel not in (None, "off"):
+        self._kernel: Optional[DetectionKernel] = None
+        if kernel is not None:
             self.attach_kernel(kernel)
 
     # -- compiled kernel -------------------------------------------------
 
     @property
-    def kernel(self):
-        """The attached compiled kernel, or None (pure-Python path)."""
+    def kernel(self) -> Optional[DetectionKernel]:
+        """The attached kernel (None until the first document compiles one)."""
         return self._kernel
 
-    def compile_kernel(self, vocab_terms=(), stem_of=None):
+    def compile_kernel(self, vocab_terms=(), stem_of=None) -> DetectionKernel:
         """Compile a kernel from the live inventories and attach it.
 
         *vocab_terms*/*stem_of* seed the vocabulary and stem table
@@ -154,12 +147,8 @@ class ShortcutsPipeline:
         phrase and unit tokens the vocabulary is missing are folded in
         by the builder.  Returns the attached kernel.
         """
-        from repro.detection.kernel import DetectionKernel
-
         if not vocab_terms:
-            doc_frequency = getattr(self._scorer, "_doc_frequency", None)
-            if doc_frequency is not None:
-                vocab_terms = list(getattr(doc_frequency, "_doc_freq", {}))
+            vocab_terms = self._scorer.doc_frequency.terms()
         kernel = DetectionKernel.build(
             concept_phrases=self._concepts.inventory(),
             named_phrases=(
@@ -172,36 +161,40 @@ class ShortcutsPipeline:
         self.attach_kernel(kernel)
         return kernel
 
-    def attach_kernel(self, kernel) -> None:
-        """Attach (or with None, detach) a compiled detection kernel."""
-        # The views route matching through the kernel's shared combined
-        # scan (one pass serves both detectors + unit segmentation).
-        self._concepts.attach_automaton(
-            kernel.concepts_view if kernel is not None else None
+    def attach_kernel(self, kernel: DetectionKernel) -> None:
+        """Attach a compiled detection kernel.
+
+        Raises ``ValueError`` naming the inventory (``concepts`` or
+        ``named``) when *kernel* was compiled for other phrases than
+        the detectors hold, or has an automaton for a detector this
+        pipeline lacks (or lacks one it has); nothing is attached then.
+        """
+        kernel.check_inventories(
+            self._concepts.inventory(),
+            self._named.inventory() if self._named is not None else None,
         )
+        # The views route matching through the kernel's shared combined
+        # scan (one pass serves both detectors).
+        self._concepts.attach_automaton(kernel.concepts_view)
         if self._named is not None:
-            self._named.attach_automaton(
-                kernel.named_view if kernel is not None else None
-            )
+            self._named.attach_automaton(kernel.named_view)
         self._scorer.attach_kernel(kernel)
         self._kernel = kernel
-        self._kernel_auto = False
 
-    def _ensure_kernel(self) -> None:
-        if self._kernel_auto:
+    def _ensure_kernel(self) -> DetectionKernel:
+        if self._kernel is None:
             self.compile_kernel()
+        return self._kernel
 
-    def stem_document(self, document: TokenizedDocument):
-        """The stemmer pass for *document* (table-driven when compiled).
+    def stem_document(self, document: TokenizedDocument) -> TokenizedDocument:
+        """The stemmer pass for *document*, off the kernel's stem table.
 
-        This is the runtime service's stemmer stage: with a kernel it
-        runs off the precomputed vocab->stem table (Porter only for OOV
-        words); without one it is exactly ``document.stemmed_terms``.
+        This is the runtime service's stemmer stage: it interns the
+        document and stamps the kernel on it, so its stemmed view comes
+        from the precomputed vocab->stem table (Porter only for OOV
+        words).
         """
-        self._ensure_kernel()
-        if self._kernel is not None:
-            return self._kernel.stem_document(document)
-        return document.stemmed_terms
+        return self._ensure_kernel().stem_document(document)
 
     def process(self, document: DocumentLike, is_html: bool = False) -> AnnotatedDocument:
         """Run the full pipeline on *document* (a string or shared tokens)."""

@@ -12,19 +12,17 @@ as an explicit stage DAG::
 
 with per-stage timings from one stage clock (the same readings feed
 the report, the ``span_seconds`` histograms and the sampled build
-trace), in one of two modes:
+trace).  One tokenization pass is shared by all stages
+(:class:`TokenizedCorpus`); the index is the CSR frozen index, the
+relevant keywords are mined on id arrays
+(:class:`~repro.offline.mining.VectorizedKeywordMiner`), and the
+per-concept relevance mining can fan out over a process pool.
 
-* ``fast=True`` (default): single tokenization pass shared by all
-  stages (:class:`TokenizedCorpus`), CSR frozen index, vectorized
-  unit/keyword mining, optional process-pool fan-out for the
-  per-concept relevance mining;
-* ``fast=False``: the seed-style serial dict/Counter pipeline, kept as
-  the equivalence baseline.
-
-Both modes produce byte-identical packs (asserted by tests and by
-``benchmarks/bench_offline.py``), and so does every worker count —
-chunk results merge in input order and global TIDs are assigned in
-phrase order, so the pack bytes never depend on scheduling.
+Every worker count produces byte-identical packs — chunk results merge
+in input order and global TIDs are assigned in phrase order, so the
+pack bytes never depend on scheduling.  The seed-era serial build's
+packs are pinned by hash: ``tests/test_offline_builder.py`` for a tiny
+world, ``perfbench/golden.json`` for the benchmark's.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -43,19 +40,13 @@ from repro.obs import Tracer, get_tracer
 from repro.obs.trace import StageClock
 from repro.obs.quality import DriftBaseline
 from repro.features.interestingness import InterestingnessExtractor
-from repro.features.relevance import (
-    RESOURCE_SNIPPETS,
-    RelevanceModel,
-    RelevantKeywordMiner,
-    build_stemmed_df,
-)
+from repro.features.relevance import RESOURCE_SNIPPETS, RelevanceModel
 from repro.detection.concepts import detectable_concept_phrases
 from repro.detection.kernel import DetectionKernel
 from repro.offline.corpus import TokenizedCorpus, normalize_documents
-from repro.text.tokenizer import words_lower
 from repro.offline.mining import VectorizedKeywordMiner
 from repro.querylog.log import QueryLog
-from repro.querylog.units import UnitMiner, VectorizedUnitMiner
+from repro.querylog.units import UnitMiner
 from repro.runtime.datapack import (
     save_detection_kernel,
     save_interestingness_store,
@@ -63,9 +54,6 @@ from repro.runtime.datapack import (
 )
 from repro.runtime.store import QuantizedInterestingnessStore
 from repro.runtime.tid import PackedRelevanceStore
-from repro.search.engine import SearchEngine
-from repro.search.prisma import PrismaTool
-from repro.search.snippets import SnippetService
 from repro.search.suggestions import SuggestionService
 
 INTERESTINGNESS_PACK = "interestingness.rpak"
@@ -78,7 +66,6 @@ MANIFEST = "manifest.json"
 class BuildConfig:
     """Knobs for one offline build."""
 
-    fast: bool = True
     workers: Optional[int] = None  # None -> os.cpu_count()
     resource: str = RESOURCE_SNIPPETS
     keyword_count: int = 100
@@ -120,7 +107,6 @@ class StageStats:
 class BuildReport:
     """Everything a caller (CLI, bench, tests) needs about one build."""
 
-    mode: str
     workers: int
     document_count: int
     concept_count: int
@@ -159,7 +145,6 @@ class BuildReport:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "mode": self.mode,
             "workers": self.workers,
             "document_count": self.document_count,
             "concept_count": self.concept_count,
@@ -250,7 +235,6 @@ class OfflineBuilder:
             if trace.sampled:
                 trace.meta.update(
                     {
-                        "mode": report.mode,
                         "workers": report.workers,
                         "documents": report.document_count,
                         "concepts": report.concept_count,
@@ -264,45 +248,24 @@ class OfflineBuilder:
         self, runner, config, docs, query_log, phrases, out, dictionary,
         wikipedia,
     ) -> BuildReport:
-        if config.fast:
-            corpus, stemmed_df = runner.run(
-                "corpus",
-                len(docs),
-                "docs",
-                lambda: self._fast_corpus(docs),
-            )
-            engine = runner.run(
-                "index",
-                len(docs),
-                "docs",
-                lambda: corpus.engine(k1=config.k1, b=config.b),
-            )
-            lexicon = runner.run(
-                "units",
-                len(query_log),
-                "queries",
-                lambda: VectorizedUnitMiner().mine(query_log),
-            )
-        else:
-            corpus = None
-            stemmed_df = runner.run(
-                "corpus",
-                len(docs),
-                "docs",
-                lambda: build_stemmed_df(text for __, text in docs),
-            )
-            engine = runner.run(
-                "index",
-                len(docs),
-                "docs",
-                lambda: self._seed_engine(docs, config.k1, config.b),
-            )
-            lexicon = runner.run(
-                "units",
-                len(query_log),
-                "queries",
-                lambda: UnitMiner().mine(query_log),
-            )
+        corpus, stemmed_df = runner.run(
+            "corpus",
+            len(docs),
+            "docs",
+            lambda: self._corpus(docs),
+        )
+        engine = runner.run(
+            "index",
+            len(docs),
+            "docs",
+            lambda: corpus.engine(k1=config.k1, b=config.b),
+        )
+        lexicon = runner.run(
+            "units",
+            len(query_log),
+            "queries",
+            lambda: UnitMiner().mine(query_log),
+        )
 
         extractor = InterestingnessExtractor(
             query_log, lexicon, engine, dictionary, wikipedia
@@ -314,20 +277,14 @@ class OfflineBuilder:
             lambda: extractor.extract_many(phrases),
         )
 
-        suggestions = SuggestionService(query_log)
-        if config.fast:
-            miner: RelevantKeywordMiner = VectorizedKeywordMiner(
-                corpus, engine, suggestions, stemmed_df, config.keyword_count
-            )
-        else:
-            miner = RelevantKeywordMiner(
-                SnippetService(engine),
-                PrismaTool(engine),
-                suggestions,
-                stemmed_df,
-                config.keyword_count,
-            )
-        workers = config.resolved_workers() if config.fast else 1
+        miner = VectorizedKeywordMiner(
+            corpus,
+            engine,
+            SuggestionService(query_log),
+            stemmed_df,
+            config.keyword_count,
+        )
+        workers = config.resolved_workers()
         model = runner.run(
             "relevance",
             len(phrases),
@@ -362,33 +319,16 @@ class OfflineBuilder:
                 )
             )
             named = sorted(tuple(key.split()) for key in dictionary.phrases())
-            stem_of = None
-            if corpus is not None:
-                vocab_terms: Sequence[str] = corpus.terms
-                stem_terms = corpus.stem_terms
-                stem_of = {
-                    term: stem_terms[sid]
-                    for term, sid in zip(
-                        corpus.terms, corpus.stem_ids.tolist()
-                    )
-                }
-            else:
-                # seed mode has no shared tokenized corpus; re-derive
-                # the identical first-seen vocabulary (and let the stem
-                # table fall back to `stem` per term) so seed and fast
-                # builds keep producing byte-identical packs
-                seen: Dict[str, None] = {}
-                for __, text in docs:
-                    for token in words_lower(text):
-                        if token not in seen:
-                            seen[token] = None
-                vocab_terms = list(seen)
+            stem_terms = corpus.stem_terms
             return DetectionKernel.build(
                 concept_phrases=detectable,
                 named_phrases=named,
                 lexicon=lexicon,
-                vocab_terms=vocab_terms,
-                stem_of=stem_of,
+                vocab_terms=corpus.terms,
+                stem_of={
+                    term: stem_terms[sid]
+                    for term, sid in zip(corpus.terms, corpus.stem_ids.tolist())
+                },
             )
 
         kernel = runner.run("kernel", len(phrases), "concepts", _kernel)
@@ -412,7 +352,6 @@ class OfflineBuilder:
         )
 
         report = BuildReport(
-            mode="fast" if config.fast else "seed",
             workers=workers,
             document_count=len(docs),
             concept_count=len(phrases),
@@ -429,16 +368,9 @@ class OfflineBuilder:
         return report
 
     @staticmethod
-    def _fast_corpus(docs):
+    def _corpus(docs):
         corpus = TokenizedCorpus(docs)
         return corpus, corpus.stemmed_df()
-
-    @staticmethod
-    def _seed_engine(docs, k1: float, b: float) -> SearchEngine:
-        engine = SearchEngine(k1=k1, b=b)
-        for doc_id, text in docs:
-            engine.add_document(doc_id, text)
-        return engine
 
 
 def _sha256(path) -> str:

@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.querylog.log import Phrase, QueryLog
 
@@ -124,15 +122,12 @@ class UnitMiner:
     # -- mining ----------------------------------------------------------
 
     def mine(self, log: QueryLog) -> UnitLexicon:
-        """Run the iterative mining and return the unit lexicon.
-
-        The counting steps are factored into overridable hooks
-        (:meth:`_term_counts`, :meth:`_validated_pairs`) so the
-        vectorized offline miner can swap in array-based counting while
-        this driver — and therefore the acceptance semantics — stays
-        shared.
-        """
-        term_counts = self._term_counts(log)
+        """Run the iterative mining and return the unit lexicon."""
+        # submission-weighted count of queries containing each term
+        term_counts: Counter = Counter()
+        for query, freq in log.items():
+            for term in set(query):
+                term_counts[term] += freq
 
         singles: Dict[Phrase, float] = {
             (term,): 0.0
@@ -156,21 +151,18 @@ class UnitMiner:
 
         return self._finalize(log, accepted, term_counts)
 
-    def _term_counts(self, log: QueryLog) -> Dict[str, int]:
-        """Submission-weighted count of queries containing each term."""
-        term_counts: Counter = Counter()
-        for query, freq in log.items():
-            for term in set(query):
-                term_counts[term] += freq
-        return term_counts
-
     def _validated_pairs(
         self, log: QueryLog, lexicon: UnitLexicon, accepted: Dict[Phrase, float]
     ) -> Dict[Phrase, float]:
-        """One growth iteration: count adjacent pairs, validate by MI."""
-        candidates = self._adjacent_pair_counts(log, lexicon)
+        """One growth iteration: count adjacent (unit, unit) pairs across
+        query submissions, validate the new candidates by MI."""
+        pair_counts: Counter = Counter()
+        for query, freq in log.items():
+            segments = lexicon.segment(list(query))
+            for left, right in zip(segments, segments[1:]):
+                pair_counts[(left, right)] += freq
         new_units: Dict[Phrase, float] = {}
-        for (left, right), count in candidates.items():
+        for (left, right), count in pair_counts.items():
             combined = tuple(left) + tuple(right)
             if len(combined) > self.max_unit_length:
                 continue
@@ -180,17 +172,6 @@ class UnitMiner:
             if mi >= self.mi_threshold:
                 new_units[combined] = mi
         return new_units
-
-    def _adjacent_pair_counts(
-        self, log: QueryLog, lexicon: UnitLexicon
-    ) -> Counter:
-        """Count adjacent (unit, unit) pairs across query submissions."""
-        pair_counts: Counter = Counter()
-        for query, freq in log.items():
-            segments = lexicon.segment(list(query))
-            for left, right in zip(segments, segments[1:]):
-                pair_counts[(left, right)] += freq
-        return pair_counts
 
     def _finalize(
         self,
@@ -242,105 +223,3 @@ class UnitMiner:
                 score = 0.5 * min(1.0, raw)
             units.append(Unit(terms=terms, mutual_information=mi, score=score))
         return UnitLexicon(units)
-
-
-class VectorizedUnitMiner(UnitMiner):
-    """Array-based co-occurrence counting for the offline builder.
-
-    Replaces the per-occurrence Counter increments with interned-id
-    arrays reduced by numpy (``np.add.at`` for term counts, a sorted
-    int64 key join + ``np.add.reduceat`` for adjacent-pair counts) and
-    applies the count/length thresholds as vectorized masks.  Mutual
-    information itself stays scalar ``math.log`` over the (few)
-    surviving candidates, so threshold semantics and stored MI values
-    are bit-identical to :class:`UnitMiner`; mined lexicons carry the
-    same units, MI and scores (asserted in tests and in
-    ``benchmarks/bench_offline.py``).
-
-    Counting is integer-exact throughout: int64 accumulators, never
-    float sums.
-    """
-
-    def _term_counts(self, log: QueryLog) -> Dict[str, int]:
-        vocabulary: Dict[str, int] = {}
-        flat_ids: List[int] = []
-        flat_freqs: List[int] = []
-        for query, freq in log.items():
-            for term in set(query):
-                vid = vocabulary.setdefault(term, len(vocabulary))
-                flat_ids.append(vid)
-                flat_freqs.append(freq)
-        if not vocabulary:
-            return {}
-        counts = np.zeros(len(vocabulary), dtype=np.int64)
-        np.add.at(
-            counts,
-            np.asarray(flat_ids, dtype=np.int64),
-            np.asarray(flat_freqs, dtype=np.int64),
-        )
-        # dict order = first-seen order, matching the seed Counter.
-        return {term: int(counts[vid]) for term, vid in vocabulary.items()}
-
-    def _validated_pairs(
-        self, log: QueryLog, lexicon: UnitLexicon, accepted: Dict[Phrase, float]
-    ) -> Dict[Phrase, float]:
-        unit_ids: Dict[Phrase, int] = {}
-        units: List[Phrase] = []
-        lefts: List[int] = []
-        rights: List[int] = []
-        freqs: List[int] = []
-        for query, freq in log.items():
-            segments = lexicon.segment(list(query))
-            if len(segments) < 2:
-                continue
-            ids = []
-            for segment in segments:
-                uid = unit_ids.setdefault(segment, len(unit_ids))
-                if uid == len(units):
-                    units.append(segment)
-                ids.append(uid)
-            lefts.extend(ids[:-1])
-            rights.extend(ids[1:])
-            freqs.extend([freq] * (len(ids) - 1))
-        if not lefts:
-            return {}
-        universe = len(units)
-        keys = (
-            np.asarray(lefts, dtype=np.int64) * universe
-            + np.asarray(rights, dtype=np.int64)
-        )
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_freqs = np.asarray(freqs, dtype=np.int64)[order]
-        boundary = np.empty(len(sorted_keys), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        starts = np.flatnonzero(boundary)
-        pair_counts = np.add.reduceat(sorted_freqs, starts)
-        pair_keys = sorted_keys[starts]
-        left_ids = pair_keys // universe
-        right_ids = pair_keys % universe
-        lengths = np.asarray([len(unit) for unit in units], dtype=np.int64)
-        survivors = (pair_counts >= self.min_pair_count) & (
-            lengths[left_ids] + lengths[right_ids] <= self.max_unit_length
-        )
-        new_units: Dict[Phrase, float] = {}
-        for left_id, right_id in zip(
-            left_ids[survivors].tolist(), right_ids[survivors].tolist()
-        ):
-            left, right = units[left_id], units[right_id]
-            combined = left + right
-            if combined in accepted:
-                continue
-            mi = self.mutual_information(log, left, right)
-            if mi >= self.mi_threshold:
-                new_units[combined] = mi
-        return new_units
-
-
-def lexicon_signature(lexicon: UnitLexicon) -> Dict[Phrase, Tuple[float, float]]:
-    """terms -> (mi, score): a comparable snapshot of a mined lexicon."""
-    return {
-        unit.terms: (unit.mutual_information, unit.score)
-        for unit in lexicon.units()
-    }

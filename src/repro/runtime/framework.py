@@ -25,8 +25,8 @@ Observability: every processed document feeds the service's
 document/byte/detection counters, detections-per-document), and the
 service's :class:`~repro.obs.Tracer` keeps the flat stage spans of
 1-in-N sampled requests.  Ranked output is byte-identical with
-observability enabled or disabled (``benchmarks/bench_obs.py`` enforces
-< 3% throughput overhead).
+observability enabled or disabled (``benchmarks/bench_obs.py`` checks
+that and times the overhead).
 
 Ranking-quality observability rides on the same path: ``process(...,
 explain=True)`` swaps in the :class:`~repro.obs.explain.ExplainableRanker`
@@ -213,9 +213,9 @@ class RankerService:
             # The Stemmer component's pass: tokenize once, stem once.  The
             # result stays cached on `document` and becomes the relevance
             # context of the ranking stage below — timed work is real work.
-            # Routed through the pipeline so a compiled detection kernel's
-            # vocab->stem table serves the pass (Porter only for OOV words);
-            # without a kernel this is exactly `document.stemmed_terms`.
+            # Routed through the pipeline so its compiled detection
+            # kernel's vocab->stem table serves the pass (Porter only for
+            # OOV words).
             self._pipeline.stem_document(document)
             clock.lap("detect")
             # Unscored: the ranker below overwrites every detection's score,

@@ -153,19 +153,6 @@ class TokenizedDocument:
                 ]
         return self._stemmed_terms
 
-    def adopt_stemmed_terms(self, terms: List[str]) -> List[str]:
-        """Install a precomputed ``stemmed_terms`` view (kernel stem pass).
-
-        The caller guarantees *terms* equals what :attr:`stemmed_terms`
-        would compute (the compiled stem table is built from the same
-        ``stem``/``is_stopword`` functions).  A view that was already
-        materialized is kept — the first computation wins, so the cached
-        views can never disagree with each other.
-        """
-        if self._stemmed_terms is None:
-            self._stemmed_terms = terms
-        return self._stemmed_terms
-
     @property
     def stem_set(self) -> Set[str]:
         """The stemmed context set consumed by the relevance scorers."""

@@ -46,6 +46,10 @@ class DocumentFrequencyTable:
     def __contains__(self, term: str) -> bool:
         return term in self._doc_freq
 
+    def terms(self) -> List[str]:
+        """Every term seen, first-seen order."""
+        return list(self._doc_freq)
+
     def document_frequency(self, term: str) -> int:
         """Number of corpus documents containing *term* (0 if unseen)."""
         return self._doc_freq.get(term, 0)

@@ -5,6 +5,7 @@ import pytest
 from repro.detection import ConceptVectorScorer
 from repro.querylog import QueryLog, UnitMiner
 from repro.text.vectorize import DocumentFrequencyTable
+from tests.reference import term_vector, unit_vector
 
 
 def make_scorer(**kwargs):
@@ -40,10 +41,14 @@ def make_scorer(**kwargs):
 
 
 class TestComponentVectors:
+    """The two component vectors, as the seed scorer computed them per
+    term (the kernel's id-space passes are pinned to these float for
+    float in tests/test_detection_kernel.py)."""
+
     def test_term_vector_normalized_and_stopword_free(self):
         scorer, __ = make_scorer()
-        vector = scorer.term_vector(
-            ["the", "cuba", "cuba", "talks", "with", "havana"]
+        vector = term_vector(
+            scorer, ["the", "cuba", "cuba", "talks", "with", "havana"]
         )
         assert "the" not in vector
         assert "with" not in vector
@@ -52,12 +57,12 @@ class TestComponentVectors:
     def test_unit_vector_contains_mined_unit(self):
         scorer, lexicon = make_scorer()
         assert ("global", "warming") in lexicon
-        vector = scorer.unit_vector(["global", "warming", "is", "real"])
+        vector = unit_vector(scorer, ["global", "warming", "is", "real"])
         assert "global warming" in vector
 
     def test_unit_vector_empty_when_no_units(self):
         scorer, __ = make_scorer()
-        vector = scorer.unit_vector(["zzz", "qqq"])
+        vector = unit_vector(scorer, ["zzz", "qqq"])
         assert len(vector) == 0
 
 
@@ -67,10 +72,10 @@ class TestMerge:
         # 'havana' is in corpus docs but a cold query (low unit score)
         text = "cuba talks havana embargo"
         merged = scorer.concept_vector(text)
-        terms = scorer.term_vector(["cuba", "talks", "havana", "embargo"])
+        terms = term_vector(scorer, ["cuba", "talks", "havana", "embargo"])
         # havana should appear with punished weight if it is term-only
-        if "havana" in merged and "havana" not in scorer.unit_vector(
-            ["cuba", "talks", "havana", "embargo"]
+        if "havana" in merged and "havana" not in unit_vector(
+            scorer, ["cuba", "talks", "havana", "embargo"]
         ):
             assert merged["havana"] == pytest.approx(
                 terms["havana"] * scorer.punish_factor
@@ -79,8 +84,8 @@ class TestMerge:
     def test_both_vectors_sum(self):
         scorer, __ = make_scorer()
         tokens = ["cuba", "talks", "embargo"]
-        terms = scorer.term_vector(tokens)
-        units = scorer.unit_vector(tokens)
+        terms = term_vector(scorer, tokens)
+        units = unit_vector(scorer, tokens)
         merged = scorer.concept_vector("cuba talks embargo")
         if "cuba" in terms and "cuba" in units:
             assert merged["cuba"] == pytest.approx(terms["cuba"] + units["cuba"])

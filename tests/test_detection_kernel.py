@@ -1,13 +1,14 @@
 """Compiled detection kernel: automaton edge cases + golden equivalence.
 
-The compiled-kernels PR replaces the runtime token-trie walk with a
-flat Aho–Corasick automaton over interned token ids, the Porter pass
-with a precomputed vocab->stem table, and the counting/segmentation
-loops with id-space array passes.  Every one of those swaps must be
-*identical* to the pure-Python path — same matches, offsets, scores,
-ranked order — so these tests pin each compiled structure to its seed
-reference: the trie walk, the per-term TermVector chain, the per-word
-Porter pass, and the per-row feature assembly.
+The compiled kernel is the runtime's only detection path: a flat
+Aho–Corasick automaton over interned token ids matches phrases, a
+precomputed vocab->stem table runs the stemmer pass, and id-space array
+passes count terms and segment units.  Every one of those must be
+*identical* to the seed behaviour — same matches, offsets, scores,
+ranked order — so these tests pin each compiled structure to a seed
+reference (``tests/reference.py`` and the per-word Porter pass): the
+seed phrase matcher, the per-term TermVector chain, the per-word
+stemmer, and the per-row feature assembly.
 """
 
 import random
@@ -15,8 +16,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.detection import NamedEntityDetector, PatternDetector, PhraseMatcher
+from repro.corpus.dictionaries import DictionaryEntry, EditorialDictionary
+from repro.detection import (
+    ConceptDetector,
+    ConceptVectorScorer,
+    NamedEntityDetector,
+    PatternDetector,
+    ShortcutsPipeline,
+    deduplicate,
+    resolve_collisions,
+)
+from repro.detection.base import KIND_PATTERN, PhraseDetector
 from repro.detection.kernel import (
     TAG_CONCEPTS,
     TAG_NAMED,
@@ -26,8 +39,10 @@ from repro.detection.kernel import (
     StemTable,
     TokenInterner,
     intern_call_count,
+    phrase_inventory,
     reset_intern_call_count,
 )
+from repro.querylog.units import UnitLexicon
 from repro.text.stemmer import (
     PorterStemmer,
     clear_stem_cache,
@@ -35,40 +50,86 @@ from repro.text.stemmer import (
     stem_cache_info,
 )
 from repro.text.tokenized import TokenizedDocument
+from repro.text.vectorize import DocumentFrequencyTable
+from tests import reference
 
 
-def automaton_for(matcher: PhraseMatcher, extra_vocab=()) -> FlatAutomaton:
-    """Compile *matcher*'s inventory over a minimal vocabulary."""
+def automaton_for(phrases, extra_vocab=()) -> FlatAutomaton:
+    """Compile *phrases* over a minimal vocabulary."""
+    inventory = phrase_inventory(phrases)
     terms = sorted(
-        {term for phrase in matcher.inventory() for term in phrase}
-        | set(extra_vocab)
+        {term for phrase in inventory for term in phrase} | set(extra_vocab)
     )
-    return FlatAutomaton.compile(matcher.inventory(), TokenInterner(terms))
+    return FlatAutomaton.compile(inventory, TokenInterner(terms))
 
 
-def assert_automaton_matches_trie(phrases, text):
-    """The automaton path must reproduce the trie walk exactly."""
-    matcher = PhraseMatcher(phrases)
-    automaton = automaton_for(matcher)
+def assert_automaton_matches_seed(phrases, text):
+    """The automaton must reproduce the seed matcher exactly, compiled
+    directly and as a detector used on its own compiles it."""
+    expected = reference.seed_matcher_find(phrases, text)
     document = TokenizedDocument(text)
-    reference = matcher.find_document_trie(document)
-    assert automaton.find_phrases(document) == reference
-    # and through the matcher protocol (attach/detach round trip)
-    matcher.attach_automaton(automaton)
-    assert matcher.find_document(TokenizedDocument(text)) == reference
-    matcher.attach_automaton(None)
-    assert matcher.find_document(TokenizedDocument(text)) == reference
+    assert automaton_for(phrases).find_phrases(document) == expected
+    assert PhraseDetector(phrases).find_phrases(document) == expected
+
+
+def small_pipeline(concepts, named=None):
+    """A pipeline over hand-made inventories (named: phrase -> type)."""
+    lexicon = UnitLexicon([])
+    dictionary = (
+        EditorialDictionary(
+            [DictionaryEntry(phrase, kind, kind) for phrase, kind in named.items()]
+        )
+        if named is not None
+        else None
+    )
+    return ShortcutsPipeline(
+        ConceptDetector(concepts, lexicon),
+        ConceptVectorScorer(DocumentFrequencyTable(), lexicon),
+        named_detector=(
+            NamedEntityDetector(dictionary) if dictionary is not None else None
+        ),
+    )
+
+
+def kernel_for(concepts, named=None) -> DetectionKernel:
+    """A kernel compiled for hand-made inventories (None: no automaton)."""
+    return DetectionKernel.build(
+        concept_phrases=concepts,
+        named_phrases=(
+            [tuple(phrase.split()) for phrase in named]
+            if named is not None
+            else None
+        ),
+        lexicon=UnitLexicon([]),
+    )
+
+
+# Token streams and inventories for the matcher property: a small
+# alphabet makes shared prefixes and suffixes, duplicates, and
+# one-token phrases common; runs of one token ("a a a ... a") exercise
+# the Aho–Corasick fail chains; "zzz" is in no phrase (OOV mid-phrase);
+# upper-case variants check case folding.
+_TOKENS = ["a", "b", "c", "d"]
+_phrases = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 5).map(lambda n: ("a",) * n),
+)
+_inventories = st.lists(_phrases, max_size=10)
+_texts = st.lists(
+    st.tuples(st.sampled_from(_TOKENS + ["A", "B", "zzz"]), st.integers(1, 12)),
+    max_size=8,
+).map(lambda runs: " ".join(token for token, count in runs for __ in range(count)))
 
 
 class TestFlatAutomatonEdgeCases:
     def test_overlapping_phrases(self):
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("big", "apple"), ("apple", "pie")],
             "a big apple pie and one apple pie after a big apple",
         )
 
     def test_shared_prefixes(self):
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("new", "york"), ("new", "york", "city"), ("new", "jersey")],
             "from new york city to new jersey and back to new york",
         )
@@ -76,14 +137,14 @@ class TestFlatAutomatonEdgeCases:
     def test_shared_suffixes_fail_chain(self):
         # every suffix of the longest phrase is itself a phrase, so the
         # output-link chain (emits/out_next) must fire on each token
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("a", "b", "c"), ("b", "c"), ("c",)],
             "a b c then b c then c then a b then a b c",
         )
 
     def test_single_token_and_max_length(self):
         long_phrase = tuple("p%d" % i for i in range(8))
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("solo",), long_phrase],
             "solo then " + " ".join(long_phrase) + " then solo",
         )
@@ -91,37 +152,82 @@ class TestFlatAutomatonEdgeCases:
     def test_oov_token_mid_phrase(self):
         # "zzz" occurs in no phrase: it must break the match and reset
         # the automaton to the root (symbol-0 sentinel path)
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("new", "york")], "new zzz york but new york works"
         )
 
     def test_empty_document(self):
-        assert_automaton_matches_trie([("cuba",)], "")
-        assert_automaton_matches_trie([("cuba",)], "?!.,")
+        assert_automaton_matches_seed([("cuba",)], "")
+        assert_automaton_matches_seed([("cuba",)], "?!.,")
 
     def test_fail_transitions_mid_match(self):
         # "a a b": after "a a" the second "a" must fail back to depth 1,
         # not to the root, for "a a a b" to still match "a a b"
-        assert_automaton_matches_trie(
+        assert_automaton_matches_seed(
             [("a", "a", "b"), ("a", "b")], "a a a b a b a a b"
         )
 
-    def test_randomized_cross_check(self):
-        rng = random.Random(7)
-        alphabet = ["w%d" % i for i in range(9)]
-        for _ in range(60):
-            phrases = [
-                tuple(rng.choices(alphabet, k=rng.randint(1, 4)))
-                for _ in range(rng.randint(1, 12))
-            ]
-            text = " ".join(rng.choices(alphabet + ["qqq"], k=rng.randint(0, 60)))
-            assert_automaton_matches_trie(phrases, text)
+    @given(concepts=_inventories, named=_inventories, text=_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_randomized_cross_check(self, concepts, named, text):
+        """Every matching route equals the seed matcher, and the fused
+        scan's per-tag maps equal the per-detector automata."""
+        assert_automaton_matches_seed(concepts, text)
+        assert_automaton_matches_seed(named, text)
+
+        kernel = DetectionKernel.build(
+            concept_phrases=concepts, named_phrases=named
+        )
+        document = TokenizedDocument(text)
+        assert kernel.concepts_view.find_phrases(
+            document
+        ) == reference.seed_matcher_find(concepts, text)
+        assert kernel.named_view.find_phrases(
+            document
+        ) == reference.seed_matcher_find(named, text)
+
+        ids = document.token_ids(kernel.interner)
+        got_concepts, got_named = kernel.scan(document)
+        assert got_concepts == ends_by_start(kernel.concepts, ids)
+        assert got_named == ends_by_start(kernel.named, ids)
 
     def test_attach_rejects_wrong_inventory(self):
-        matcher = PhraseMatcher([("one",), ("two",)])
-        other = automaton_for(PhraseMatcher([("three",)]))
-        with pytest.raises(ValueError):
-            matcher.attach_automaton(other)
+        pipeline = small_pipeline([("one",), ("two",)])
+        with pytest.raises(ValueError, match="concepts"):
+            pipeline.attach_kernel(kernel_for([("three",)]))
+        assert pipeline.kernel is None
+
+    def test_attach_rejects_same_size_other_inventory(self):
+        # the phrase count matches, the phrases do not
+        pipeline = small_pipeline(
+            [("cuba",), ("global", "warming")], named={"fidel castro": "person"}
+        )
+        with pytest.raises(ValueError, match="concepts"):
+            pipeline.attach_kernel(
+                kernel_for([("havana",), ("warming",)], named=["fidel castro"])
+            )
+        with pytest.raises(ValueError, match="named"):
+            pipeline.attach_kernel(
+                kernel_for(
+                    [("cuba",), ("global", "warming")], named=["raul castro"]
+                )
+            )
+        assert pipeline.kernel is None
+        assert [d.phrase for d in pipeline.process("cuba and havana").detections] == [
+            "cuba"
+        ]
+
+    def test_attach_rejects_inventory_on_one_side_only(self):
+        with_named = small_pipeline([("cuba",)], named={"havana": "place"})
+        with pytest.raises(ValueError, match="named"):
+            with_named.attach_kernel(kernel_for([("cuba",)], named=None))
+        without_named = small_pipeline([("cuba",)])
+        with pytest.raises(ValueError, match="named"):
+            without_named.attach_kernel(kernel_for([("cuba",)], named=["havana"]))
+        # the matching kernel attaches
+        kernel = kernel_for([("cuba",)], named=["havana"])
+        with_named.attach_kernel(kernel)
+        assert with_named.kernel is kernel
 
 
 class TestFlatAutomatonStructure:
@@ -132,16 +238,14 @@ class TestFlatAutomatonStructure:
             ("york",),
             ("city", "hall"),
         ]
-        matcher = PhraseMatcher(inventory)
-        automaton = automaton_for(matcher)
+        automaton = automaton_for(inventory)
         pairs = automaton.phrase_states()
         assert sorted(phrase for phrase, __ in pairs) == sorted(inventory)
         for phrase, terminal in pairs:
             assert automaton.terminal_of(phrase) == terminal
 
     def test_columns_reload_identically(self):
-        matcher = PhraseMatcher([("a", "b"), ("b",), ("a", "b", "c")])
-        automaton = automaton_for(matcher)
+        automaton = automaton_for([("a", "b"), ("b",), ("a", "b", "c")])
         columns = automaton.columns()
         reloaded = FlatAutomaton(
             automaton.interner,
@@ -178,15 +282,14 @@ def ends_by_start(automaton: FlatAutomaton, ids) -> dict:
 class TestCombinedAutomaton:
     def test_tagged_scan_matches_per_detector(self):
         interner = TokenInterner(["a", "b", "c", "d", "e"])
-        concepts = FlatAutomaton.compile(
-            [("a", "b"), ("c",), ("b", "c", "d")], interner
-        )
+        concept_phrases = [("a", "b"), ("c",), ("b", "c", "d")]
         # ("a", "b") is in both inventories: its terminal carries both tags
-        named = FlatAutomaton.compile(
-            [("a", "b"), ("d", "e"), ("c", "d", "e")], interner
-        )
+        named_phrases = [("a", "b"), ("d", "e"), ("c", "d", "e")]
+        concepts = FlatAutomaton.compile(concept_phrases, interner)
+        named = FlatAutomaton.compile(named_phrases, interner)
         combined = CombinedAutomaton.compile(
-            interner, [(concepts, TAG_CONCEPTS), (named, TAG_NAMED)]
+            interner,
+            [(concept_phrases, TAG_CONCEPTS), (named_phrases, TAG_NAMED)],
         )
         rng = random.Random(3)
         vocab = ["a", "b", "c", "d", "e", "zzz"]
@@ -201,55 +304,86 @@ class TestCombinedAutomaton:
         assert named_seen
 
 
-class TestKernelPipelineEquivalence:
-    @pytest.fixture()
-    def restore_kernel(self, env_pipeline):
-        previous, was_auto = env_pipeline._kernel, env_pipeline._kernel_auto
-        yield env_pipeline
-        env_pipeline.attach_kernel(previous)
-        env_pipeline._kernel_auto = was_auto
+@pytest.fixture(scope="module")
+def env_kernel(env_pipeline):
+    """The environment pipeline's kernel, compiled from its inventories."""
+    return env_pipeline.compile_kernel()
 
-    def test_compiled_pipeline_output_identical(self, restore_kernel, env_stories):
-        pipeline = restore_kernel
-        kernel = pipeline.compile_kernel()
+
+class TestKernelPipelineEquivalence:
+    def test_compiled_pipeline_output_identical(
+        self, env_pipeline, env_kernel, env_detectable, env_lexicon,
+        env_world, env_stories,
+    ):
+        """The pipeline's fused scan and shared kernel give what the
+        same components produce on their own: detectors with their own
+        automata, a scorer with its own lexicon-only kernel."""
+        concepts = ConceptDetector(env_detectable, env_lexicon)
+        named = NamedEntityDetector(env_world.dictionary)
+        patterns = PatternDetector()
+        scorer = ConceptVectorScorer(env_world.doc_frequency, env_lexicon)
         for story in env_stories[:10]:
-            pipeline.attach_kernel(None)
-            pure = pipeline.process(story.text)
-            pipeline.attach_kernel(kernel)
-            compiled = pipeline.process(story.text)
-            assert compiled.detections == pure.detections
-            assert [d.score for d in compiled.detections] == [
-                d.score for d in pure.detections
+            text = story.text
+            candidates = (
+                patterns.detect(text) + named.detect(text) + concepts.detect(text)
+            )
+            vector = scorer.concept_vector(text)
+            expected = [
+                d
+                if d.kind == KIND_PATTERN
+                else d.with_score(scorer.score_phrase(vector, d.phrase))
+                for d in deduplicate(resolve_collisions(candidates))
             ]
+            compiled = env_pipeline.process(text).detections
+            assert compiled == expected
+            assert [d.score for d in compiled] == [d.score for d in expected]
 
     def test_term_and_unit_weights_float_identical(
-        self, restore_kernel, env_scorer, env_stories
+        self, env_kernel, env_scorer, env_stories
     ):
-        pipeline = restore_kernel
-        kernel = pipeline.compile_kernel()
+        """The kernel's term and unit weights equal the per-term seed
+        passes float for float: for the pipeline's kernel, for the
+        lexicon-only kernel a scorer compiles on its own, and for one
+        whose vocabulary leaves every non-unit word out of vocabulary."""
         scorer = env_scorer
+        kernels = [
+            env_kernel,
+            DetectionKernel.build(
+                lexicon=scorer.lexicon,
+                vocab_terms=scorer.doc_frequency.terms(),
+            ),
+            DetectionKernel.build(lexicon=scorer.lexicon),
+        ]
         for story in env_stories[:10]:
-            scorer.attach_kernel(None)
-            pure = scorer.concept_vector(story.text)
-            scorer.attach_kernel(kernel)
-            compiled = scorer.concept_vector(story.text)
-            scorer.attach_kernel(None)
-            # dict equality: same keys, exact float equality per key
-            assert compiled.weights == pure.weights
+            words = TokenizedDocument(story.text).words
+            terms = reference.term_vector(scorer, words).weights
+            units = reference.unit_weights(scorer.lexicon, words)
+            for kernel in kernels:
+                document = TokenizedDocument(story.text)
+                got_terms = kernel.term_weights(
+                    document,
+                    scorer.doc_frequency,
+                    scorer.punish_threshold,
+                    scorer.punish_factor,
+                    scorer.prune_threshold,
+                )
+                # dict equality: same keys, exact float equality per key
+                assert got_terms == terms
+                assert {type(v) for v in got_terms.values()} <= {float}
+                # same weights, inserted in the same (document) order
+                assert list(kernel.unit_weights(document).items()) == list(
+                    units.items()
+                )
 
-    def test_stem_table_matches_porter_pass(self, restore_kernel, env_stories):
-        pipeline = restore_kernel
-        kernel = pipeline.compile_kernel()
+    def test_stem_table_matches_porter_pass(self, env_kernel, env_stories):
         text = env_stories[0].text + " with an oovxyzword too"
         pure = TokenizedDocument(text).stemmed_terms
-        stamped = kernel.stem_document(TokenizedDocument(text))
+        stamped = env_kernel.stem_document(TokenizedDocument(text))
         assert stamped.stemmed_terms == pure
 
-    def test_tid_context_matches_table(self, restore_kernel, env_stories):
+    def test_tid_context_matches_table(self, env_kernel, env_stories):
         from repro.runtime.tid import GlobalTidTable
 
-        pipeline = restore_kernel
-        kernel = pipeline.compile_kernel()
         table = GlobalTidTable()
         # track a subset of document stems so both hit and miss paths run
         for story in env_stories[:4]:
@@ -260,23 +394,18 @@ class TestKernelPipelineEquivalence:
             expected = table.tid_context(
                 TokenizedDocument(text).stemmed_terms
             )
-            got = kernel.tid_context(TokenizedDocument(text), table)
+            got = env_kernel.tid_context(TokenizedDocument(text), table)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
 
-    def test_single_interning_per_document(self, restore_kernel, env_stories):
-        pipeline = restore_kernel
-        kernel = pipeline.compile_kernel()
+    def test_single_interning_per_document(
+        self, env_pipeline, env_kernel, env_stories
+    ):
         document = TokenizedDocument(env_stories[0].text)
         reset_intern_call_count()
-        pipeline.stem_document(document)
-        pipeline.process_document(document)
+        env_pipeline.stem_document(document)
+        env_pipeline.process_document(document)
         assert intern_call_count() == 1
-        # detached pure path never interns
-        pipeline.attach_kernel(None)
-        reset_intern_call_count()
-        pipeline.process_document(TokenizedDocument(env_stories[1].text))
-        assert intern_call_count() == 0
 
 
 class TestKernelPackRoundTrip:

@@ -1,4 +1,4 @@
-"""OfflineBuilder: stage DAG, mode/worker determinism, vectorized miners."""
+"""OfflineBuilder: stage DAG, pinned pack bytes, vectorized miners."""
 
 import json
 import random
@@ -21,7 +21,6 @@ from repro.offline.builder import (
 from repro.offline.corpus import TokenizedCorpus
 from repro.offline.mining import VectorizedKeywordMiner, VectorizedPrismaTool
 from repro.querylog.log import QueryLog
-from repro.querylog.units import UnitMiner, VectorizedUnitMiner, lexicon_signature
 from repro.runtime.datapack import load_interestingness_store, load_relevance_store
 from repro.search.engine import SearchEngine
 from repro.search.prisma import PrismaTool
@@ -34,6 +33,21 @@ VOCAB = [
 ]
 
 CONCEPTS = ["cuba talks", "fidel castro", "embargo", "storm warning", "havana summit"]
+
+# The tiny world's pack hashes, as the seed-era serial build wrote them
+# (its dict index, string miners and unit miner): the vectorized build
+# must keep writing exactly these bytes.
+SEED_PACK_SHA256 = {
+    "interestingness": (
+        "b801896a8d53b600b34a5613b3c91f858984bf4f2c554c2ac28afb75477183e4"
+    ),
+    "relevance": (
+        "041e2868397aa3b2db137603936ae26e6051797965f7d7dab27ad15ad4ea987a"
+    ),
+    "detection": (
+        "467eaa795a7ceca4213b1a05bbc6b7f0ffd7d2bdca5cf5b4f5b788aa52722372"
+    ),
+}
 
 
 def tiny_world(seed=13, docs=30):
@@ -69,20 +83,18 @@ def build(world, tmp_path, tag, **kwargs):
 
 
 class TestBuilder:
-    def test_seed_and_fast_packs_byte_identical(self, world, tmp_path):
-        seed = build(world, tmp_path, "seed", fast=False)
-        fast = build(world, tmp_path, "fast", fast=True, workers=1)
-        assert seed.pack_sha256 == fast.pack_sha256
-        assert seed.mode == "seed" and fast.mode == "fast"
+    def test_pack_bytes_match_seed_build(self, world, tmp_path):
+        report = build(world, tmp_path, "pinned", workers=1)
+        assert report.pack_sha256 == SEED_PACK_SHA256
 
     def test_worker_count_does_not_change_pack_bytes(self, world, tmp_path):
-        serial = build(world, tmp_path, "w1", fast=True, workers=1)
-        fanned = build(world, tmp_path, "w4", fast=True, workers=4)
+        serial = build(world, tmp_path, "w1", workers=1)
+        fanned = build(world, tmp_path, "w4", workers=4)
         assert serial.pack_sha256 == fanned.pack_sha256
         assert fanned.workers == 4
 
     def test_report_stages_and_manifest(self, world, tmp_path):
-        report = build(world, tmp_path, "report", fast=True, workers=1)
+        report = build(world, tmp_path, "report", workers=1)
         assert [stage.name for stage in report.stages] == [
             "corpus", "index", "units", "interestingness",
             "relevance", "quantize", "kernel", "pack",
@@ -101,7 +113,7 @@ class TestBuilder:
     def test_manifest_bakes_drift_baseline(self, world, tmp_path):
         from repro.obs.quality import DriftBaseline, load_baseline
 
-        report = build(world, tmp_path, "baseline", fast=True, workers=1)
+        report = build(world, tmp_path, "baseline", workers=1)
         assert report.feature_baselines is not None
         assert report.as_dict()["feature_baselines"] == report.feature_baselines
         manifest = json.loads(
@@ -125,7 +137,7 @@ class TestBuilder:
     def test_old_manifests_without_baseline_still_load(self, world, tmp_path):
         from repro.obs.quality import load_baseline
 
-        build(world, tmp_path, "oldpack", fast=True, workers=1)
+        build(world, tmp_path, "oldpack", workers=1)
         manifest_path = tmp_path / "oldpack" / MANIFEST
         manifest = json.loads(manifest_path.read_text())
         del manifest["feature_baselines"]  # simulate a pre-baseline pack
@@ -138,7 +150,7 @@ class TestBuilder:
         assert CONCEPTS[0] in store
 
     def test_packs_load_back(self, world, tmp_path):
-        build(world, tmp_path, "load", fast=True, workers=1)
+        build(world, tmp_path, "load", workers=1)
         interestingness = load_interestingness_store(
             tmp_path / "load" / INTERESTINGNESS_PACK
         )
@@ -228,18 +240,3 @@ class TestVectorizedMiners:
         for phrase in one.phrases():
             assert one.relevant_terms(phrase) == many.relevant_terms(phrase)
 
-
-class TestVectorizedUnits:
-    def test_lexicon_matches_seed(self, world):
-        __, query_log = world
-        seed = UnitMiner().mine(query_log)
-        fast = VectorizedUnitMiner().mine(query_log)
-        assert lexicon_signature(seed) == lexicon_signature(fast)
-        assert seed.max_length == fast.max_length
-
-    def test_lexicon_matches_seed_custom_params(self, world):
-        __, query_log = world
-        kwargs = dict(min_pair_count=2, mi_threshold=0.5, max_unit_length=3)
-        seed = UnitMiner(**kwargs).mine(query_log)
-        fast = VectorizedUnitMiner(**kwargs).mine(query_log)
-        assert lexicon_signature(seed) == lexicon_signature(fast)

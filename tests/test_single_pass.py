@@ -19,10 +19,11 @@ from repro.detection import (
     KIND_PATTERN,
     AnnotatedDocument,
     Detection,
-    PhraseMatcher,
     deduplicate,
     resolve_collisions,
 )
+from repro.detection.base import PhraseDetector
+from repro.detection.kernel import FlatAutomaton, phrase_inventory
 from repro.features import RelevanceModel
 from repro.ranking import RankSVM
 from repro.runtime import (
@@ -34,43 +35,17 @@ from repro.text import (
     TokenizedDocument,
     TermVector,
     reset_tokenize_call_count,
-    tokenize,
     tokenize_call_count,
 )
+from tests.reference import seed_matcher_find
 
 
 # -- reference (seed) implementations ------------------------------------
 
 
-def seed_matcher_find(phrases, text):
-    """The seed PhraseMatcher.find: first-term lists, longest-first."""
-    by_first = {}
-    for phrase in phrases:
-        phrase = tuple(term.lower() for term in phrase)
-        if phrase:
-            by_first.setdefault(phrase[0], []).append(phrase)
-    for candidates in by_first.values():
-        candidates.sort(key=len, reverse=True)
-    word_tokens = [token for token in tokenize(text) if token.is_word()]
-    words = [token.lower for token in word_tokens]
-    matches = []
-    index = 0
-    count = len(words)
-    while index < count:
-        matched = None
-        for phrase in by_first.get(words[index], ()):
-            size = len(phrase)
-            if index + size <= count and tuple(words[index : index + size]) == phrase:
-                matched = phrase
-                break
-        if matched is None:
-            index += 1
-            continue
-        start = word_tokens[index].start
-        end = word_tokens[index + len(matched) - 1].end
-        matches.append((matched, start, end))
-        index += len(matched)
-    return matches
+def find(phrases, text):
+    """Matches of *phrases* in *text*, through a detector's own automaton."""
+    return PhraseDetector(phrases).find_phrases(TokenizedDocument(text))
 
 
 def seed_resolve_collisions(detections):
@@ -182,13 +157,22 @@ class TestGoldenEquivalence:
         monkeypatch.setattr(pipeline.kernel, "unit_weights", discarded)
         assert [service.process(text) for text in texts] == expected
 
-    def test_matcher_matches_seed_on_corpus(self, env_concept_detector, env_stories):
+    def test_matcher_matches_seed_on_corpus(
+        self, env_concept_detector, env_pipeline, env_stories
+    ):
+        """The standalone automaton and the pipeline kernel's fused scan
+        both match exactly what the seed matcher finds."""
         inventory = list(env_concept_detector._phrases)
-        matcher = PhraseMatcher(inventory)
+        named = env_pipeline._named.inventory()
+        kernel = env_pipeline.compile_kernel()
         for story in env_stories[:25]:
-            assert matcher.find(story.text) == seed_matcher_find(
-                inventory, story.text
-            )
+            document = TokenizedDocument(story.text)
+            expected = seed_matcher_find(inventory, story.text)
+            assert find(inventory, story.text) == expected
+            assert kernel.concepts_view.find_phrases(document) == expected
+            assert kernel.named_view.find_phrases(
+                document
+            ) == seed_matcher_find(named, story.text)
 
     @given(
         st.lists(
@@ -209,45 +193,49 @@ class TestGoldenEquivalence:
         assert resolve_collisions(detections) == seed_resolve_collisions(detections)
 
 
-# -- trie matcher edge cases ----------------------------------------------
+# -- matcher edge cases ---------------------------------------------------
 
 
 class TestTrieMatcher:
+    """Matcher edge cases (named for the token trie they were written
+    against); the compiled automaton must keep every one of them."""
+
     def test_shared_prefixes_take_longest(self):
-        matcher = PhraseMatcher(
-            [("new",), ("new", "york"), ("new", "york", "city")]
+        [(phrase, start, end)] = find(
+            [("new",), ("new", "york"), ("new", "york", "city")],
+            "welcome to New York City limits",
         )
-        [(phrase, start, end)] = matcher.find("welcome to New York City limits")
         assert phrase == ("new", "york", "city")
         assert (start, end) == (11, 24)
 
     def test_phrase_is_prefix_of_longer_unfinished_phrase(self):
         # "san francisco giants" dead-ends after "san francisco": the
-        # walk must fall back to the deepest terminal seen, not fail.
-        matcher = PhraseMatcher([("san", "francisco"), ("san", "francisco", "giants")])
-        matches = matcher.find("san francisco weather")
+        # scan must fall back to the longest match seen, not fail.
+        matches = find(
+            [("san", "francisco"), ("san", "francisco", "giants")],
+            "san francisco weather",
+        )
         assert [m[0] for m in matches] == [("san", "francisco")]
 
     def test_dead_end_resumes_at_next_position(self):
-        matcher = PhraseMatcher([("global", "warming"), ("warming",)])
-        matches = matcher.find("global warning about warming")
+        matches = find(
+            [("global", "warming"), ("warming",)], "global warning about warming"
+        )
         assert [m[0] for m in matches] == [("warming",)]
 
     def test_inventory_term_casing_normalized(self):
-        matcher = PhraseMatcher([("Global", "WARMING")])
-        matches = matcher.find("talks on gLoBaL wArMiNg stalled")
+        matches = find([("Global", "WARMING")], "talks on gLoBaL wArMiNg stalled")
         assert [m[0] for m in matches] == [("global", "warming")]
 
     def test_len_deduplicates_inventory(self):
-        # seed regression: duplicates inflated len(matcher)
-        matcher = PhraseMatcher(
-            [("cuba",), ("Cuba",), ("global", "warming"), ("global", "warming")]
-        )
-        assert len(matcher) == 2
-        assert matcher.max_length == 2
+        # seed regression: duplicates inflated the inventory size
+        phrases = [("cuba",), ("Cuba",), ("global", "warming"), ("global", "warming")]
+        assert phrase_inventory(phrases) == [("cuba",), ("global", "warming")]
+        assert FlatAutomaton.for_phrases(phrases).phrase_count == 2
 
     def test_empty_phrases_ignored(self):
-        assert len(PhraseMatcher([(), ("cuba",)])) == 1
+        assert phrase_inventory([(), ("cuba",)]) == [("cuba",)]
+        assert FlatAutomaton.for_phrases([(), ("cuba",)]).phrase_count == 1
 
 
 # -- single-pass bookkeeping ----------------------------------------------
