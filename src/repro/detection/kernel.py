@@ -35,7 +35,7 @@ import itertools
 import threading
 from collections import deque
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,11 +189,30 @@ def _describe(inventory: Optional[set]) -> str:
     return "none" if inventory is None else f"{len(inventory)} phrases"
 
 
-def _as_list(column) -> list:
-    """*column* as a plain list: an ndarray converts in one C pass."""
-    if isinstance(column, list):
-        return column
-    return np.asarray(column).tolist()
+class _ScanTables(NamedTuple):
+    """A :class:`FlatAutomaton`'s columns as Python lists.
+
+    The token loops read these: list indexing is ~3x faster than numpy
+    scalar indexing there.  ``fail`` is left out because no loop walks
+    it (``delta`` has it pre-resolved).
+    """
+
+    delta: list
+    sym: list
+    out_len: list
+    emits: list
+    out_next: list
+    out_score: Optional[list]
+
+
+def _state_ints(count: int) -> np.ndarray:
+    """An object array of the ints ``0 .. count - 1``.
+
+    Indexing it with a state-valued column and calling ``tolist()``
+    gives a list of these *count* int objects, shared; the column's own
+    ``tolist()`` would create a new int for every entry above 256.
+    """
+    return np.arange(count).astype(object)
 
 
 class FlatAutomaton:
@@ -219,11 +238,14 @@ class FlatAutomaton:
       unit lexicon's normalized scores ride here so segmentation needs
       no lexicon at runtime).
 
-    The columns are the serialized form (``np.ndarray`` views straight
-    off a data-pack); the constructor materializes plain Python lists
-    for the scan loop, where list indexing is ~3x faster than numpy
-    scalar indexing.  Lists from :meth:`compile` are adopted as they
-    are.
+    The automaton holds its columns as numpy arrays — the ones
+    :meth:`compile` builds, or range-checked ``np.frombuffer`` views
+    straight off a data-pack — and :meth:`columns` returns them as
+    they are.  The Python lists the token loops index are built on the
+    first call that walks the automaton (a scan, :meth:`phrase_states`,
+    :meth:`terminal_of`, or a :class:`CombinedAutomaton` over it), so an
+    automaton that is loaded but never walked — the units automaton in
+    a serving process — costs only its arrays.
     """
 
     __slots__ = (
@@ -231,43 +253,63 @@ class FlatAutomaton:
         "alphabet_size",
         "state_count",
         "phrase_count",
-        "_delta",
-        "_fail",
-        "_out_len",
-        "_emits",
-        "_out_next",
-        "_sym",
-        "_out_score",
+        "_columns",
+        "_tables",
     )
 
     def __init__(
         self,
         interner: TokenInterner,
-        delta,
-        fail,
-        out_len,
-        emits,
-        out_next,
-        sym,
+        delta: np.ndarray,
+        fail: np.ndarray,
+        out_len: np.ndarray,
+        emits: np.ndarray,
+        out_next: np.ndarray,
+        sym: np.ndarray,
         phrase_count: int,
-        out_score=None,
+        out_score: Optional[np.ndarray] = None,
     ):
         self.interner = interner
-        self._delta = _as_list(delta)
-        self._fail = _as_list(fail)
-        self._out_len = _as_list(out_len)
-        self._emits = _as_list(emits)
-        self._out_next = _as_list(out_next)
-        self._sym = _as_list(sym)
-        self._out_score = None if out_score is None else _as_list(out_score)
-        self.state_count = len(self._fail)
+        self._columns: Dict[str, np.ndarray] = {
+            "delta": delta,
+            "fail": fail,
+            "out_len": out_len,
+            "emits": emits,
+            "out_next": out_next,
+            "sym": sym,
+        }
+        if out_score is not None:
+            self._columns["out_score"] = out_score
+        self._tables: Optional[_ScanTables] = None
+        self.state_count = len(fail)
         self.phrase_count = int(phrase_count)
         if self.state_count:
-            self.alphabet_size = len(self._delta) // self.state_count
+            self.alphabet_size = len(delta) // self.state_count
         else:
             self.alphabet_size = 0
-        if len(self._sym) != len(interner) + 1:
+        if len(sym) != len(interner) + 1:
             raise ValueError("symbol column does not cover the vocabulary")
+
+    def _scan_tables(self) -> _ScanTables:
+        """The scan tables, built on the first call.
+
+        Published with one assignment, so two threads making the first
+        walk at once can at worst both build them.
+        """
+        tables = self._tables
+        if tables is None:
+            columns = self._columns
+            states = _state_ints(self.state_count)
+            scores = columns.get("out_score")
+            tables = self._tables = _ScanTables(
+                delta=states[columns["delta"]].tolist(),
+                sym=columns["sym"].tolist(),
+                out_len=columns["out_len"].tolist(),
+                emits=states[columns["emits"]].tolist(),
+                out_next=states[columns["out_next"]].tolist(),
+                out_score=None if scores is None else scores.tolist(),
+            )
+        return tables
 
     # -- compilation -----------------------------------------------------
 
@@ -286,9 +328,9 @@ class FlatAutomaton:
         """
         inventory = phrase_inventory(phrases)
 
-        # alphabet: symbols 1..A-1 for tokens used by any phrase
-        sym = [0] * (len(interner) + 1)
-        alphabet_size = 1
+        # alphabet: symbols 1..A-1 for tokens used by any phrase, in
+        # first-use order
+        symbol_of: Dict[int, int] = {}
         for phrase in inventory:
             for term in phrase:
                 vid = interner.id_of(term)
@@ -296,72 +338,68 @@ class FlatAutomaton:
                     raise ValueError(
                         f"phrase token {term!r} missing from the kernel vocabulary"
                     )
-                if sym[vid] == 0:
-                    sym[vid] = alphabet_size
-                    alphabet_size += 1
+                if vid not in symbol_of:
+                    symbol_of[vid] = len(symbol_of) + 1
+        alphabet_size = len(symbol_of) + 1
+        sym = np.zeros(len(interner) + 1, dtype=np.int32)
+        sym[list(symbol_of)] = list(symbol_of.values())
 
         # trie over symbols
         goto: List[Dict[int, int]] = [{}]
-        out_len = [0]
+        terminals: List[int] = []
         for phrase in inventory:
             state = 0
             for term in phrase:
-                symbol = sym[interner.id_of(term)]
+                symbol = symbol_of[interner.id_of(term)]
                 nxt = goto[state].get(symbol)
                 if nxt is None:
                     nxt = len(goto)
                     goto[state][symbol] = nxt
                     goto.append({})
-                    out_len.append(0)
                 state = nxt
-            out_len[state] = len(phrase)
-
-        # BFS fail links + dense delta rows (fail pre-resolved)
+            terminals.append(state)
         state_count = len(goto)
-        fail = [0] * state_count
-        delta = [0] * (state_count * alphabet_size)
-        queue = deque()
-        for symbol, nxt in goto[0].items():
-            delta[symbol] = nxt
-            queue.append(nxt)
-        while queue:
-            state = queue.popleft()
-            base = state * alphabet_size
-            fail_base = fail[state] * alphabet_size
-            for symbol in range(1, alphabet_size):
-                nxt = goto[state].get(symbol)
-                if nxt is None:
-                    delta[base + symbol] = delta[fail_base + symbol]
-                else:
-                    fail[nxt] = delta[fail_base + symbol]
-                    delta[base + symbol] = nxt
-                    queue.append(nxt)
+        out_len = np.zeros(state_count, dtype=np.int32)
+        out_len[terminals] = [len(phrase) for phrase in inventory]
 
-        # output links: nearest terminal in the fail chain
-        emits = [0] * state_count
-        out_next = [0] * state_count
-        order = deque(goto[0].values())
-        while order:  # BFS again so fail[state] is already resolved
-            state = order.popleft()
-            emits[state] = state if out_len[state] else emits[fail[state]]
-            out_next[state] = emits[fail[state]]
-            for nxt in goto[state].values():
-                order.append(nxt)
+        # Dense DFA rows (fail pre-resolved) and output links, one BFS
+        # level at a time.  A state's row starts as a copy of its fail
+        # state's row, already complete because that state is
+        # shallower; each trie edge then reads its child's fail state
+        # from that row before overwriting the entry with the child.
+        delta = np.zeros((state_count, alphabet_size), dtype=np.int32)
+        fail = np.zeros(state_count, dtype=np.int32)
+        emits = np.zeros(state_count, dtype=np.int32)
+        out_next = np.zeros(state_count, dtype=np.int32)
+        level = [0]  # the root, its own fail state
+        while level:
+            links = fail[level]
+            delta[level] = delta[links]
+            # nearest terminal in the fail chain, the state included
+            emits[level] = np.where(out_len[level] > 0, level, emits[links])
+            out_next[level] = emits[links]
+            edges = [
+                (state, symbol, nxt)
+                for state in level
+                for symbol, nxt in goto[state].items()
+            ]
+            if not edges:
+                break
+            parents, symbols, children = zip(*edges)
+            fail[list(children)] = delta[parents, symbols]
+            delta[parents, symbols] = children
+            level = list(children)
 
         out_score = None
         if scores is not None:
-            out_score = [0.0] * state_count
-            for phrase in inventory:
-                state = 0
-                for term in phrase:
-                    state = delta[
-                        state * alphabet_size + sym[interner.id_of(term)]
-                    ]
-                out_score[state] = float(scores.get(phrase, 0.0))
+            out_score = np.zeros(state_count, dtype=np.float64)
+            out_score[terminals] = [
+                float(scores.get(phrase, 0.0)) for phrase in inventory
+            ]
 
         return cls(
             interner,
-            delta,
+            delta.reshape(-1),
             fail,
             out_len,
             emits,
@@ -387,17 +425,7 @@ class FlatAutomaton:
 
     def columns(self) -> Dict[str, np.ndarray]:
         """The flat ``int32``/``float64`` columns (data-pack payloads)."""
-        columns = {
-            "delta": np.asarray(self._delta, dtype=np.int32),
-            "fail": np.asarray(self._fail, dtype=np.int32),
-            "out_len": np.asarray(self._out_len, dtype=np.int32),
-            "emits": np.asarray(self._emits, dtype=np.int32),
-            "out_next": np.asarray(self._out_next, dtype=np.int32),
-            "sym": np.asarray(self._sym, dtype=np.int32),
-        }
-        if self._out_score is not None:
-            columns["out_score"] = np.asarray(self._out_score, dtype=np.float64)
-        return columns
+        return dict(self._columns)
 
     # -- inventory reconstruction ----------------------------------------
 
@@ -413,13 +441,15 @@ class FlatAutomaton:
         serialized payload — e.g. to compile the combined scan automaton.
         """
         terms = self.interner.terms
-        token_of: Dict[int, str] = {}
-        for vid, symbol in enumerate(self._sym):
-            if symbol and vid < len(terms):
-                token_of[symbol] = terms[vid]
+        sym = self._columns["sym"]
+        vids = np.flatnonzero(sym[: len(terms)]).tolist()
+        token_of: Dict[int, str] = dict(
+            zip(sym[vids].tolist(), (terms[vid] for vid in vids))
+        )
 
-        delta = self._delta
-        out_len = self._out_len
+        tables = self._scan_tables()
+        delta = tables.delta
+        out_len = tables.out_len
         alphabet = self.alphabet_size
         visited = [False] * self.state_count
         visited[0] = True
@@ -440,13 +470,16 @@ class FlatAutomaton:
 
     def terminal_of(self, phrase: Phrase) -> int:
         """The state reached by walking *phrase* from the root."""
+        tables = self._scan_tables()
+        delta = tables.delta
+        sym = tables.sym
         state = 0
         alphabet = self.alphabet_size
         for term in phrase:
             vid = self.interner.id_of(term)
             if vid is None:
                 return 0
-            state = self._delta[state * alphabet + self._sym[vid]]
+            state = delta[state * alphabet + sym[vid]]
         return state
 
     # -- matching --------------------------------------------------------
@@ -459,12 +492,7 @@ class FlatAutomaton:
         distinct lengths, hence distinct starts), so the last match
         written for a start is its longest.
         """
-        delta = self._delta
-        sym = self._sym
-        emits = self._emits
-        out_len = self._out_len
-        out_next = self._out_next
-        scores = self._out_score
+        delta, sym, out_len, emits, out_next, scores = self._scan_tables()
         alphabet = self.alphabet_size
         best: Dict[int, tuple] = {}
         state = 0
@@ -552,23 +580,37 @@ class CombinedAutomaton:
     bytes are untouched.
     """
 
-    __slots__ = ("base", "tags", "_delta_pm", "_emits_pm", "_sym_array")
+    __slots__ = (
+        "base",
+        "tags",
+        "_delta_pm",
+        "_emits_pm",
+        "_out_len",
+        "_out_next",
+        "_sym_array",
+    )
 
     def __init__(self, base: FlatAutomaton, tags: Sequence[int]):
         self.base = base
         self.tags = [int(v) for v in tags]
         # Scan-loop precomputation: delta entries pre-multiplied by the
         # alphabet size (a state is represented by its row base, saving
-        # the per-token multiply) with the output probe re-indexed to
-        # match, and the symbol column as an array so a document's
-        # symbol stream is one vectorized gather.
+        # the per-token multiply; one shared int object per row base)
+        # with the output probe re-indexed to match, and the symbol
+        # column kept as an array so a document's symbol stream is one
+        # vectorized gather.
         alphabet = base.alphabet_size
-        self._delta_pm = [v * alphabet for v in base._delta]
+        columns = base.columns()
+        row_bases = _state_ints(base.state_count) * alphabet
+        self._delta_pm = row_bases[columns["delta"]].tolist()
+        tables = base._scan_tables()
         emits_pm = [0] * (base.state_count * alphabet)
         if alphabet:
-            emits_pm[::alphabet] = base._emits
+            emits_pm[::alphabet] = tables.emits
         self._emits_pm = emits_pm
-        self._sym_array = np.asarray(base._sym, dtype=np.int32)
+        self._out_len = tables.out_len
+        self._out_next = tables.out_next
+        self._sym_array = columns["sym"]
 
     @classmethod
     def compile(
@@ -596,11 +638,10 @@ class CombinedAutomaton:
         positions are not contiguous.  Ends only grow as the scan
         advances, so the last end written for a start is its longest.
         """
-        base = self.base
         delta = self._delta_pm
         emits = self._emits_pm
-        out_len = base._out_len
-        out_next = base._out_next
+        out_len = self._out_len
+        out_next = self._out_next
         tags = self.tags
         if not isinstance(ids, np.ndarray):
             ids = np.asarray(ids, dtype=np.int32)
@@ -687,7 +728,8 @@ class DetectionKernel:
     ``concepts`` and ``named`` are fused into one
     :class:`CombinedAutomaton` scan (detection); ``units`` is scanned
     on its own, and only by the concept-vector baseline
-    (:meth:`unit_weights`).  A kernel with neither detector automaton
+    (:meth:`unit_weights`), so its scan tables are built on the
+    baseline's first document.  A kernel with neither detector automaton
     (``DetectionKernel.build(lexicon=...)``) is what a concept-vector
     scorer used outside a pipeline compiles for itself.
     """
@@ -747,12 +789,25 @@ class DetectionKernel:
             if concepts is not None and named is not None
             else None
         )
-        self.concepts_view = (
-            TaggedPhraseView(self, 0, concepts) if concepts is not None else None
-        )
-        self.named_view = (
-            TaggedPhraseView(self, 1, named) if named is not None else None
-        )
+
+    # The views are made on request, not kept: a view references its
+    # kernel, so a kept one would make a reference cycle, and a released
+    # kernel (with its units columns) would stay resident until the
+    # next full garbage collection instead of going with its pipeline.
+
+    @property
+    def concepts_view(self) -> Optional[TaggedPhraseView]:
+        """The concept detector's view of the combined scan."""
+        if self.concepts is None:
+            return None
+        return TaggedPhraseView(self, 0, self.concepts)
+
+    @property
+    def named_view(self) -> Optional[TaggedPhraseView]:
+        """The named-entity detector's view of the combined scan."""
+        if self.named is None:
+            return None
+        return TaggedPhraseView(self, 1, self.named)
 
     @classmethod
     def build(

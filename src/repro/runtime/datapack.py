@@ -394,17 +394,36 @@ def save_detection_kernel(kernel, path: PathLike) -> None:
     write_pack(path, sections)
 
 
+def _check_covers_vocab(section: str, length: int, vocab_size: int) -> None:
+    """Reject a per-term column without one entry per term + OOV slot."""
+    if length != vocab_size + 1:
+        raise ValueError(
+            f"damaged detection pack: {section} holds {length} entries "
+            f"for a vocabulary of {vocab_size} terms plus the OOV slot"
+        )
+
+
+def _check_finite(section: str, scores: np.ndarray) -> None:
+    """Reject a score column holding NaN or an infinity."""
+    if not np.isfinite(scores).all():
+        raise ValueError(
+            f"damaged detection pack: {section} holds a non-finite score"
+        )
+
+
 def _check_automaton_columns(
     prefix: str, columns: Dict[str, np.ndarray], vocab_size: int
 ) -> None:
-    """Reject damaged automaton columns before they become scan tables.
+    """Reject damaged automaton columns before the automaton holds them.
 
     Every value the scan loop uses as an index must lie in its table:
     states (``delta``/``fail``/``emits``/``out_next``, and ``out_len``,
     a phrase length, which a trie of ``S`` states keeps below ``S``) in
-    ``[0, S)``, symbols in ``[0, A)``.  A flipped entry would otherwise
-    load cleanly and mis-detect or raise mid-scan.  One vectorized
-    min/max per column keeps the check far below the load itself.
+    ``[0, S)``, symbols in ``[0, A)``, and a score column must be
+    finite.  A flipped entry would otherwise load cleanly and
+    mis-detect, or raise mid-scan once the scan tables are built from
+    it.  One vectorized min/max per column keeps the check far below
+    the load itself.
     """
     states = len(columns["fail"])
     delta = columns["delta"]
@@ -414,12 +433,7 @@ def _check_automaton_columns(
             f"damaged detection pack: {prefix}_delta holds {len(delta)} "
             f"entries, not a whole number of rows for {states} states"
         )
-    if len(columns["sym"]) != vocab_size + 1:
-        raise ValueError(
-            f"damaged detection pack: {prefix}_sym holds "
-            f"{len(columns['sym'])} entries for a vocabulary of "
-            f"{vocab_size} terms plus the OOV slot"
-        )
+    _check_covers_vocab(f"{prefix}_sym", len(columns["sym"]), vocab_size)
     for column in ("out_len", "emits", "out_next", "out_score"):
         values = columns.get(column)
         if values is not None and len(values) != states:
@@ -435,18 +449,57 @@ def _check_automaton_columns(
                 f"damaged detection pack: {prefix}_{column} holds values "
                 f"outside [0, {limit})"
             )
+    if "out_score" in columns:
+        _check_finite(f"{prefix}_out_score", columns["out_score"])
+
+
+def _check_stem_columns(
+    flags: np.ndarray, stems: list, single_scores: np.ndarray, vocab_size: int
+) -> None:
+    """Reject a damaged stem table or single-term unit score column.
+
+    ``stem_flags`` must hold one flag per term plus the OOV slot, each
+    0 (content), 1 (stopword) or 2 (OOV), with the 2 at the OOV slot
+    and nowhere else; ``meta.stems`` a string for every content term;
+    ``unit_single_scores`` one finite score per term plus the OOV slot.
+    Any other value would load cleanly and then drop words from the
+    stemmer pass, append ``None`` stems, or mis-score units.  A content
+    flag flipped to stopword is a legal value and is not caught here.
+    """
+    _check_covers_vocab("stem_flags", len(flags), vocab_size)
+    if flags.max() > 2:
+        raise ValueError(
+            "damaged detection pack: stem_flags holds a flag other than "
+            "0 (content), 1 (stopword) or 2 (OOV)"
+        )
+    if np.flatnonzero(flags == 2).tolist() != [vocab_size]:
+        raise ValueError(
+            "damaged detection pack: stem_flags must flag the OOV slot, "
+            "and only it, as 2"
+        )
+    _check_covers_vocab("meta.stems", len(stems), vocab_size)
+    for vid in np.flatnonzero(flags == 0).tolist():
+        if not isinstance(stems[vid], str):
+            raise ValueError(
+                f"damaged detection pack: meta.stems has no stem for "
+                f"content term {vid}"
+            )
+    _check_covers_vocab("unit_single_scores", len(single_scores), vocab_size)
+    _check_finite("unit_single_scores", single_scores)
 
 
 def load_detection_kernel(path: PathLike):
     """Load a compiled detection kernel pack.
 
     The flat columns are viewed with ``np.frombuffer`` (the v2 8-byte
-    alignment makes that valid in place), range-checked, and
-    materialized into the kernel's Python scan tables — list indexing
-    beats numpy scalar indexing in the token loop — so the pack is read
-    eagerly rather than kept mapped: nothing would reference the map
-    after load.  A column whose lengths or values cannot come from a
-    compiled automaton raises ``ValueError`` naming its section.
+    alignment makes that valid in place), range-checked, and held by
+    the automata as they are; each automaton builds its Python scan
+    tables on its first walk, so the units automaton, which only the
+    concept-vector baseline scans, costs a serving process only its
+    arrays.  The pack is read eagerly rather than kept mapped: the
+    kept views hold their section's bytes, not the file.  A column
+    whose lengths or values cannot come from a compiled kernel raises
+    ``ValueError`` naming its section.
     """
     from repro.detection.kernel import (
         DetectionKernel,
@@ -460,6 +513,9 @@ def load_detection_kernel(path: PathLike):
         raise ValueError("pack does not contain a detection kernel")
     meta = _json_load(sections["meta"])
     interner = TokenInterner(meta["vocab"])
+    flags = np.frombuffer(sections["stem_flags"], dtype=np.uint8)
+    single_scores = np.frombuffer(sections["unit_single_scores"], dtype="<f8")
+    _check_stem_columns(flags, meta["stems"], single_scores, len(interner))
     stem_table = StemTable(bytes(sections["stem_flags"]), meta["stems"])
     automata = {}
     for prefix, info in meta["automata"].items():
@@ -480,9 +536,7 @@ def load_detection_kernel(path: PathLike):
         concepts=automata.get("concepts"),
         named=automata.get("named"),
         units=automata.get("units"),
-        unit_single_scores=np.frombuffer(
-            sections["unit_single_scores"], dtype="<f8"
-        ),
+        unit_single_scores=single_scores,
     )
 
 

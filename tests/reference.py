@@ -9,11 +9,16 @@ exist only so the tests can cross-check the kernel against them:
   candidate lists, longest-first, resume past each match);
 * :func:`term_vector` / :func:`unit_weights` / :func:`unit_vector` —
   the concept-vector baseline's two component vectors computed per
-  term, as the seed scorer did.
+  term, as the seed scorer did;
+* :func:`automaton_columns` — an Aho–Corasick automaton's flat columns
+  resolved one state and one symbol at a time in pure Python, as
+  ``FlatAutomaton.compile`` did before it resolved rows in numpy.
 """
 
-from typing import Dict, Sequence
+from collections import deque
+from typing import Dict, List, Sequence
 
+from repro.detection.kernel import phrase_inventory
 from repro.text import tokenize
 from repro.text.stopwords import is_stopword
 from repro.text.vectorize import TermVector
@@ -84,3 +89,83 @@ def unit_vector(scorer, tokens: Sequence[str]) -> TermVector:
         normalize=False,
     )
 
+
+
+def automaton_columns(phrases, interner, scores=None) -> Dict[str, list]:
+    """``FlatAutomaton.compile(phrases, interner, scores).columns()`` as
+    lists, from the per-state, per-symbol dense-row loop."""
+    inventory = phrase_inventory(phrases)
+
+    sym = [0] * (len(interner) + 1)
+    alphabet_size = 1
+    for phrase in inventory:
+        for term in phrase:
+            vid = interner.id_of(term)
+            if sym[vid] == 0:
+                sym[vid] = alphabet_size
+                alphabet_size += 1
+
+    goto: List[Dict[int, int]] = [{}]
+    out_len = [0]
+    for phrase in inventory:
+        state = 0
+        for term in phrase:
+            symbol = sym[interner.id_of(term)]
+            nxt = goto[state].get(symbol)
+            if nxt is None:
+                nxt = len(goto)
+                goto[state][symbol] = nxt
+                goto.append({})
+                out_len.append(0)
+            state = nxt
+        out_len[state] = len(phrase)
+
+    # BFS fail links + dense delta rows (fail pre-resolved)
+    state_count = len(goto)
+    fail = [0] * state_count
+    delta = [0] * (state_count * alphabet_size)
+    queue = deque()
+    for symbol, nxt in goto[0].items():
+        delta[symbol] = nxt
+        queue.append(nxt)
+    while queue:
+        state = queue.popleft()
+        base = state * alphabet_size
+        fail_base = fail[state] * alphabet_size
+        for symbol in range(1, alphabet_size):
+            nxt = goto[state].get(symbol)
+            if nxt is None:
+                delta[base + symbol] = delta[fail_base + symbol]
+            else:
+                fail[nxt] = delta[fail_base + symbol]
+                delta[base + symbol] = nxt
+                queue.append(nxt)
+
+    # output links: nearest terminal in the fail chain
+    emits = [0] * state_count
+    out_next = [0] * state_count
+    order = deque(goto[0].values())
+    while order:  # BFS again so fail[state] is already resolved
+        state = order.popleft()
+        emits[state] = state if out_len[state] else emits[fail[state]]
+        out_next[state] = emits[fail[state]]
+        for nxt in goto[state].values():
+            order.append(nxt)
+
+    columns = {
+        "delta": delta,
+        "fail": fail,
+        "out_len": out_len,
+        "emits": emits,
+        "out_next": out_next,
+        "sym": sym,
+    }
+    if scores is not None:
+        out_score = [0.0] * state_count
+        for phrase in inventory:
+            state = 0
+            for term in phrase:
+                state = delta[state * alphabet_size + sym[interner.id_of(term)]]
+            out_score[state] = float(scores.get(phrase, 0.0))
+        columns["out_score"] = out_score
+    return columns

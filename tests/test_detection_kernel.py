@@ -11,8 +11,10 @@ seed phrase matcher, the per-term TermVector chain, the per-word
 stemmer, and the per-row feature assembly.
 """
 
+import gc
 import random
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -70,6 +72,17 @@ def assert_automaton_matches_seed(phrases, text):
     document = TokenizedDocument(text)
     assert automaton_for(phrases).find_phrases(document) == expected
     assert PhraseDetector(phrases).find_phrases(document) == expected
+
+
+def assert_columns_match_reference(automaton, phrases, scores=None):
+    """The numpy-resolved columns equal the pure-Python dense-row
+    loop's, entry for entry, as ``int32`` (``float64`` scores)."""
+    expected = reference.automaton_columns(phrases, automaton.interner, scores)
+    got = automaton.columns()
+    assert sorted(got) == sorted(expected)
+    for name, values in got.items():
+        assert values.dtype == (np.float64 if name == "out_score" else np.int32)
+        assert values.tolist() == expected[name], name
 
 
 def small_pipeline(concepts, named=None):
@@ -170,14 +183,28 @@ class TestFlatAutomatonEdgeCases:
     @given(concepts=_inventories, named=_inventories, text=_texts)
     @settings(max_examples=200, deadline=None)
     def test_randomized_cross_check(self, concepts, named, text):
-        """Every matching route equals the seed matcher, and the fused
+        """The DFA rows resolved in numpy equal the per-symbol loop's
+        (checked first: a broken table can make a scan loop forever),
+        every matching route equals the seed matcher, and the fused
         scan's per-tag maps equal the per-detector automata."""
-        assert_automaton_matches_seed(concepts, text)
-        assert_automaton_matches_seed(named, text)
-
         kernel = DetectionKernel.build(
             concept_phrases=concepts, named_phrases=named
         )
+        assert_columns_match_reference(kernel.concepts, concepts)
+        assert_columns_match_reference(kernel.named, named)
+        assert_columns_match_reference(automaton_for(named), named)
+        scores = {
+            phrase: 1.0 / (rank + 1)
+            for rank, phrase in enumerate(phrase_inventory(concepts))
+        }
+        assert_columns_match_reference(
+            FlatAutomaton.compile(concepts, kernel.interner, scores=scores),
+            concepts,
+            scores,
+        )
+
+        assert_automaton_matches_seed(concepts, text)
+        assert_automaton_matches_seed(named, text)
         document = TokenizedDocument(text)
         assert kernel.concepts_view.find_phrases(
             document
@@ -228,6 +255,21 @@ class TestFlatAutomatonEdgeCases:
         kernel = kernel_for([("cuba",)], named=["havana"])
         with_named.attach_kernel(kernel)
         assert with_named.kernel is kernel
+
+    def test_released_kernel_is_freed_without_a_collection(self):
+        """Nothing in a kernel refers back to it, so it goes with the
+        last pipeline holding it, not at the next full collection."""
+        pipeline = small_pipeline([("cuba",)], named={"havana": "place"})
+        kernel = kernel_for([("cuba",)], named=["havana"])
+        pipeline.attach_kernel(kernel)
+        assert pipeline.process("cuba and havana").detections
+        released = weakref.ref(kernel)
+        gc.disable()
+        try:
+            del kernel, pipeline
+            assert released() is None
+        finally:
+            gc.enable()
 
 
 class TestFlatAutomatonStructure:
@@ -339,15 +381,23 @@ class TestKernelPipelineEquivalence:
             assert [d.score for d in compiled] == [d.score for d in expected]
 
     def test_term_and_unit_weights_float_identical(
-        self, env_kernel, env_scorer, env_stories
+        self, env_kernel, env_scorer, env_stories, tmp_path
     ):
         """The kernel's term and unit weights equal the per-term seed
-        passes float for float: for the pipeline's kernel, for the
-        lexicon-only kernel a scorer compiles on its own, and for one
-        whose vocabulary leaves every non-unit word out of vocabulary."""
+        passes float for float: for the pipeline's kernel, the same
+        kernel saved and loaded from a pack, the lexicon-only kernel a
+        scorer compiles on its own, and one whose vocabulary leaves
+        every non-unit word out of vocabulary."""
+        from repro.runtime.datapack import (
+            load_detection_kernel,
+            save_detection_kernel,
+        )
+
         scorer = env_scorer
+        save_detection_kernel(env_kernel, tmp_path / "kernel.pack")
         kernels = [
             env_kernel,
+            load_detection_kernel(tmp_path / "kernel.pack"),
             DetectionKernel.build(
                 lexicon=scorer.lexicon,
                 vocab_terms=scorer.doc_frequency.terms(),
@@ -490,6 +540,60 @@ class TestDamagedKernelPack:
             damaged = np.frombuffer(kernel_pack_sections[name], "<i4")[:-1]
             with pytest.raises(ValueError, match=name):
                 self.load_with(tmp_path, kernel_pack_sections, name, damaged)
+
+    @pytest.mark.parametrize(
+        "damage", ["flag_7", "oov_slot_content", "second_oov_slot", "truncated"]
+    )
+    def test_damaged_stem_flags_rejected(
+        self, tmp_path, kernel_pack_sections, damage
+    ):
+        flags = np.frombuffer(kernel_pack_sections["stem_flags"], np.uint8)
+        content = int(np.flatnonzero(flags == 0)[0])
+        damaged = flags.copy()
+        if damage == "flag_7":  # neither content nor OOV: word dropped
+            damaged[content] = 7
+        elif damage == "oov_slot_content":  # appends None per OOV word
+            damaged[-1] = 0
+        elif damage == "second_oov_slot":
+            damaged[content] = 2
+        else:
+            damaged = flags[:-1]
+        with pytest.raises(ValueError, match="stem_flags"):
+            self.load_with(tmp_path, kernel_pack_sections, "stem_flags", damaged)
+
+    def test_missing_content_stem_rejected(self, tmp_path, kernel_pack_sections):
+        import json
+
+        flags = np.frombuffer(kernel_pack_sections["stem_flags"], np.uint8)
+        meta = json.loads(kernel_pack_sections["meta"].decode("utf-8"))
+        meta["stems"][int(np.flatnonzero(flags == 0)[0])] = None
+        damaged = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+        with pytest.raises(ValueError, match="meta.stems"):
+            self.load_with(tmp_path, kernel_pack_sections, "meta", damaged)
+
+    @pytest.mark.parametrize("damage", ["truncated", "nan", "inf"])
+    def test_damaged_unit_single_scores_rejected(
+        self, tmp_path, kernel_pack_sections, damage
+    ):
+        name = "unit_single_scores"
+        scores = np.frombuffer(kernel_pack_sections[name], "<f8")
+        if damage == "truncated":
+            damaged = scores[:-1]
+        else:
+            damaged = scores.copy()
+            damaged[len(damaged) // 2] = np.nan if damage == "nan" else np.inf
+        with pytest.raises(ValueError, match=name):
+            self.load_with(tmp_path, kernel_pack_sections, name, damaged)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_out_score_rejected(
+        self, tmp_path, kernel_pack_sections, value
+    ):
+        name = "units_out_score"
+        damaged = np.frombuffer(kernel_pack_sections[name], "<f8").copy()
+        damaged[len(damaged) // 2] = value
+        with pytest.raises(ValueError, match=name):
+            self.load_with(tmp_path, kernel_pack_sections, name, damaged)
 
 
 class TestStemmerCache:

@@ -157,6 +157,64 @@ class TestGoldenEquivalence:
         monkeypatch.setattr(pipeline.kernel, "unit_weights", discarded)
         assert [service.process(text) for text in texts] == expected
 
+    def test_cold_start_defers_the_units_scan_tables(
+        self, service, env_pipeline, env_world, env_detectable, env_lexicon,
+        env_stories, tmp_path,
+    ):
+        """A service cold-started from a pack ranks without building the
+        units automaton's scan tables; the baseline builds them once, on
+        its first concept vector, and detects and scores exactly as a
+        kernel compiled in memory."""
+        from repro.detection import (
+            ConceptDetector,
+            ConceptVectorScorer,
+            NamedEntityDetector,
+            ShortcutsPipeline,
+        )
+        from repro.detection.kernel import DetectionKernel
+        from repro.runtime.datapack import (
+            load_detection_kernel,
+            save_detection_kernel,
+        )
+
+        def pipeline_with(kernel):
+            return ShortcutsPipeline(
+                ConceptDetector(env_detectable, env_lexicon),
+                ConceptVectorScorer(env_world.doc_frequency, env_lexicon),
+                named_detector=NamedEntityDetector(env_world.dictionary),
+                kernel=kernel,
+            )
+
+        save_detection_kernel(
+            DetectionKernel.build(
+                concept_phrases=env_pipeline._concepts.inventory(),
+                named_phrases=env_pipeline._named.inventory(),
+                lexicon=env_lexicon,
+                vocab_terms=env_world.doc_frequency.terms(),
+            ),
+            tmp_path / "detection.rpak",
+        )
+        kernel = load_detection_kernel(tmp_path / "detection.rpak")
+        pipeline = pipeline_with(kernel)
+        cold = RankerService(
+            pipeline, service._store, service._assembler.relevance_scorer,
+            service._model,
+        )
+        texts = [story.text for story in env_stories[:10]]
+        assert [cold.process(text) for text in texts] == [
+            service.process(text) for text in texts
+        ]
+        assert kernel.units._tables is None
+
+        in_memory = pipeline_with(None)  # compiles its kernel on first use
+        first = pipeline.process(texts[0])
+        tables = kernel.units._tables
+        assert tables is not None
+        assert first == in_memory.process(texts[0])
+        for text in texts[1:]:
+            assert pipeline.process(text) == in_memory.process(text)
+        assert kernel.units._tables is tables
+
     def test_matcher_matches_seed_on_corpus(
         self, env_concept_detector, env_pipeline, env_stories
     ):
