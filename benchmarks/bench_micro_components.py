@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.text.stemmer import PorterStemmer
-from repro.text.tokenizer import tokenize, tokenize_lower
-from repro.features.relevance import stemmed_terms
+from repro.text.tokenized import TokenizedDocument
+from repro.text.tokenizer import word_spans, words_lower
 
 
 @pytest.fixture(scope="module")
@@ -20,18 +20,20 @@ def sample_text(bench_env):
 
 
 def test_micro_tokenizer(benchmark, sample_text):
-    tokens = benchmark(tokenize, sample_text)
-    assert len(tokens) > 100
+    """The serving tokenizer: lower-cased words and their offsets."""
+    words, starts, ends = benchmark(word_spans, sample_text)
+    assert len(words) > 100 and len(starts) == len(ends) == len(words)
 
 
 def test_micro_tokenize_lower(benchmark, sample_text):
-    words = benchmark(tokenize_lower, sample_text)
+    """The offline build's tokenizer: lower-cased words only."""
+    words = benchmark(words_lower, sample_text)
     assert words
 
 
 def test_micro_stemmer_uncached(benchmark, sample_text):
     stemmer = PorterStemmer()
-    words = tokenize_lower(sample_text)[:2000]
+    words = words_lower(sample_text)[:2000]
 
     def run():
         return [stemmer.stem(word) for word in words]
@@ -40,13 +42,20 @@ def test_micro_stemmer_uncached(benchmark, sample_text):
     assert len(stems) == len(words)
 
 
-def test_micro_stemmed_terms_cached(benchmark, sample_text):
-    """The memoized module-level path used by the runtime framework."""
-    stems = benchmark(stemmed_terms, sample_text)
-    assert stems
+def test_micro_stem_document(benchmark, bench_env, sample_text):
+    """The runtime service's stemmer stage: tokenize a fresh document
+    and intern it against the pipeline's kernel."""
+    pipeline = bench_env.pipeline
+    pipeline.stem_document(TokenizedDocument(sample_text))  # compile the kernel
+
+    def run():
+        return pipeline.stem_document(TokenizedDocument(sample_text))
+
+    document = benchmark(run)
+    assert document.stemmed_terms
 
 
-def test_micro_phrase_matcher(benchmark, bench_env, sample_text):
+def test_micro_concept_detector(benchmark, bench_env, sample_text):
     detector = bench_env.concept_detector
     matches = benchmark(detector.detect, sample_text)
     assert isinstance(matches, list)

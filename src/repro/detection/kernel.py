@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -242,10 +241,10 @@ class FlatAutomaton:
     :meth:`compile` builds, or range-checked ``np.frombuffer`` views
     straight off a data-pack — and :meth:`columns` returns them as
     they are.  The Python lists the token loops index are built on the
-    first call that walks the automaton (a scan, :meth:`phrase_states`,
-    :meth:`terminal_of`, or a :class:`CombinedAutomaton` over it), so an
-    automaton that is loaded but never walked — the units automaton in
-    a serving process — costs only its arrays.
+    automaton's first scan, so an automaton that is loaded but never
+    scanned costs only its arrays: in a serving process that is every
+    automaton, because the service scans the :class:`CombinedAutomaton`
+    and only the concept-vector baseline scans the units automaton.
     """
 
     __slots__ = (
@@ -439,6 +438,10 @@ class FlatAutomaton:
         state are the trie edges.  This lets a kernel loaded from flat
         pack columns recover the exact phrase inventories — no extra
         serialized payload — e.g. to compile the combined scan automaton.
+
+        The BFS runs over the ``delta`` array one level at a time, so it
+        builds no scan tables.  A level's states are found in parent
+        order, then symbol order: the order of a queue BFS.
         """
         terms = self.interner.terms
         sym = self._columns["sym"]
@@ -447,40 +450,36 @@ class FlatAutomaton:
             zip(sym[vids].tolist(), (terms[vid] for vid in vids))
         )
 
-        tables = self._scan_tables()
-        delta = tables.delta
-        out_len = tables.out_len
-        alphabet = self.alphabet_size
-        visited = [False] * self.state_count
+        delta = self._columns["delta"].reshape(self.state_count, -1)
+        out_len = self._columns["out_len"]
+        visited = np.zeros(self.state_count, dtype=bool)
         visited[0] = True
+        paths: Dict[int, Phrase] = {0: ()}
         pairs: List[Tuple[Phrase, int]] = []
-        queue = deque([(0, ())])
-        while queue:
-            state, path = queue.popleft()
-            base = state * alphabet
-            for symbol in range(1, alphabet):
-                nxt = delta[base + symbol]
-                if nxt and not visited[nxt]:
-                    visited[nxt] = True
-                    extended = path + (token_of[symbol],)
-                    if out_len[nxt]:
-                        pairs.append((extended, nxt))
-                    queue.append((nxt, extended))
+        level = np.zeros(1, dtype=np.intp)
+        while level.size:
+            rows = delta[level, 1:]  # symbol 0 always returns to the root
+            parents, symbols = np.nonzero(~visited[rows])
+            children = rows[parents, symbols]
+            symbols += 1
+            # A damaged pack's rows could reach one state twice in a
+            # level; as in a queue BFS, the first discovery wins.
+            first = np.sort(np.unique(children, return_index=True)[1])
+            parents, symbols, children = (
+                level[parents[first]], symbols[first], children[first]
+            )
+            visited[children] = True
+            for parent, symbol, child, length in zip(
+                parents.tolist(),
+                symbols.tolist(),
+                children.tolist(),
+                out_len[children].tolist(),
+            ):
+                path = paths[child] = paths[parent] + (token_of[symbol],)
+                if length:
+                    pairs.append((path, child))
+            level = children
         return pairs
-
-    def terminal_of(self, phrase: Phrase) -> int:
-        """The state reached by walking *phrase* from the root."""
-        tables = self._scan_tables()
-        delta = tables.delta
-        sym = tables.sym
-        state = 0
-        alphabet = self.alphabet_size
-        for term in phrase:
-            vid = self.interner.id_of(term)
-            if vid is None:
-                return 0
-            state = delta[state * alphabet + sym[vid]]
-        return state
 
     # -- matching --------------------------------------------------------
 
@@ -577,7 +576,8 @@ class CombinedAutomaton:
     Built in :class:`DetectionKernel.__init__` from the per-detector
     automatons' reconstructed inventories (:meth:`FlatAutomaton.
     phrase_states`); it is derived state, never serialized, so data-pack
-    bytes are untouched.
+    bytes are untouched.  Its scan lists are built from the base's
+    columns; the base's own scan tables are never built.
     """
 
     __slots__ = (
@@ -601,15 +601,14 @@ class CombinedAutomaton:
         # vectorized gather.
         alphabet = base.alphabet_size
         columns = base.columns()
-        row_bases = _state_ints(base.state_count) * alphabet
-        self._delta_pm = row_bases[columns["delta"]].tolist()
-        tables = base._scan_tables()
+        states = _state_ints(base.state_count)
+        self._delta_pm = (states * alphabet)[columns["delta"]].tolist()
         emits_pm = [0] * (base.state_count * alphabet)
         if alphabet:
-            emits_pm[::alphabet] = tables.emits
+            emits_pm[::alphabet] = states[columns["emits"]].tolist()
         self._emits_pm = emits_pm
-        self._out_len = tables.out_len
-        self._out_next = tables.out_next
+        self._out_len = columns["out_len"].tolist()
+        self._out_next = states[columns["out_next"]].tolist()
         self._sym_array = columns["sym"]
 
     @classmethod
@@ -623,8 +622,8 @@ class CombinedAutomaton:
                 tag_of[phrase] = tag_of.get(phrase, 0) | tag
         base = FlatAutomaton.compile(tag_of, interner)
         tags = [0] * base.state_count
-        for phrase, tag in tag_of.items():
-            tags[base.terminal_of(phrase)] = tag
+        for phrase, terminal in base.phrase_states():
+            tags[terminal] = tag_of[phrase]
         return cls(base, tags)
 
     def scan(

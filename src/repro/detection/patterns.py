@@ -30,7 +30,11 @@ _PHONE_RE = re.compile(
     re.VERBOSE,
 )
 
-_DIGIT_RE = re.compile(r"[0-9]")
+# `_PHONE_RE`'s \d matches every Unicode decimal digit, so the digit
+# gate must too.  ASCII text can hold only the ten ASCII digits, and ten
+# substring probes find one far faster than a regex search.
+_DIGIT_RE = re.compile(r"\d")
+_ASCII_DIGITS = "0123456789"
 
 
 def _has_email_marker(text: str) -> bool:
@@ -42,6 +46,8 @@ def _has_url_marker(text: str) -> bool:
 
 
 def _has_digit(text: str) -> bool:
+    if text.isascii():
+        return any(digit in text for digit in _ASCII_DIGITS)
     return _DIGIT_RE.search(text) is not None
 
 

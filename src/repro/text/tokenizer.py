@@ -16,7 +16,9 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Union
+
+import numpy as np
 
 _TOKEN_RE = re.compile(
     r"""
@@ -27,14 +29,19 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# The word branch of _TOKEN_RE alone.  For ASCII text, its matches are
-# exactly the _TOKEN_RE matches that pass the is-word filter: the number
-# and \S branches can never consume a letter (so no word is hidden
-# inside another token), and a match of the word branch is maximal
-# either way.  Non-ASCII text breaks the equivalence (a single non-ASCII
-# letter tokenizes via \S yet passes isalpha), so fast paths gate on
-# `str.isascii`.
-_WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)?")
+# The word mask: each ASCII letter byte maps to its lower-case letter,
+# every other byte to a space.  For ASCII text, the letter runs of the
+# masked bytes, joined by the apostrophes `_word_mask` puts back, are
+# exactly the word tokens of `_TOKEN_RE`: its number and \S branches
+# never consume a letter, and its word branch is maximal.  Non-ASCII
+# text breaks the equivalence (a single non-ASCII letter tokenizes via
+# \S yet passes isalpha), so it keeps the regex.
+_WORD_MASK = bytes(
+    byte + 32 if 65 <= byte <= 90 else byte if 97 <= byte <= 122 else 32
+    for byte in range(256)
+)
+_SPACE = 32
+_APOSTROPHE = 39
 
 # Sentence terminators followed by whitespace and an upper-case/digit start.
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9\"'(])")
@@ -115,8 +122,43 @@ def tokenize(text: str) -> List[Token]:
     ]
 
 
+def _word_mask(text: str) -> Union[bytes, bytearray]:
+    """ASCII *text* as bytes, one space added at each end, with every
+    byte outside a word token a space and every letter lower-cased.
+
+    The word branch of `_TOKEN_RE` keeps an apostrophe only between two
+    letters, and in a chain of letter runs joined by single apostrophes
+    it keeps every other one, starting with the first: ``a'b'c'd`` is
+    ``a'b``, ``c'd``.  The mask turns every apostrophe into a space; the
+    loop puts back the kept ones.  It walks the apostrophes, not the
+    words, because text has few (about 31 in a 4.2 KB news story).  An
+    apostrophe is the second of a pair exactly when the non-letter
+    before its letter run is the last one kept.  The padding keeps every
+    apostrophe's neighbours, and every word's end, inside the buffer.
+    """
+    raw = (" " + text + " ").encode("ascii")
+    masked = raw.translate(_WORD_MASK)
+    position = raw.find(b"'")
+    if position < 0:
+        return masked
+    buffer = bytearray(masked)
+    kept = -1
+    find = raw.find
+    rfind = masked.rfind
+    while position >= 0:
+        if (
+            masked[position - 1] != _SPACE
+            and masked[position + 1] != _SPACE
+            and rfind(b" ", 0, position) != kept
+        ):
+            buffer[position] = _APOSTROPHE
+            kept = position
+        position = find(b"'", position + 1)
+    return buffer
+
+
 def word_spans(text: str):
-    """``(words, starts, ends)`` for word tokens only, one regex pass.
+    """``(words, starts, ends)`` for word tokens only.
 
     The words are exactly ``tokenize_lower(text)`` and the offsets are
     exactly the word tokens' ``start``/``end`` spans, but no
@@ -137,29 +179,13 @@ def word_spans(text: str):
                 starts.append(match.start())
                 ends.append(match.end())
         return words, starts, ends
-    # ASCII fast path: lower-casing the whole text first is one C pass,
-    # is 1:1 length-preserving for ASCII (offsets unchanged), and maps
-    # letters to letters (the match set is unchanged), so findall on the
-    # lowered text yields the lower-cased words directly.  Offsets come
-    # from `str.find` resuming after the previous word: the gap between
-    # consecutive word matches contains no letters (any letter would
-    # itself be part of a word match), and every word starts with a
-    # letter, so the first occurrence at/after the previous end IS the
-    # match position.
-    lowered = text.lower()
-    words = _WORD_RE.findall(lowered)
-    starts = []
-    ends = []
-    append_start = starts.append
-    append_end = ends.append
-    find = lowered.find
-    position = 0
-    for word in words:
-        position = find(word, position)
-        append_start(position)
-        position += len(word)
-        append_end(position)
-    return words, starts, ends
+    # The words are the masked text's space-separated runs.  A word's
+    # bounds are the edges of the mask, whose padding byte shifts each
+    # edge's index onto the word's character offset.
+    masked = _word_mask(text)
+    in_word = np.frombuffer(masked, dtype=np.uint8) != _SPACE
+    edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+    return masked.decode("ascii").split(), edges[0::2].tolist(), edges[1::2].tolist()
 
 
 def tokenize_lower(text: str) -> List[str]:
@@ -174,15 +200,15 @@ def tokenize_lower(text: str) -> List[str]:
 def words_lower(text: str) -> List[str]:
     """Exactly `tokenize_lower`, without materializing Token objects.
 
-    `_TOKEN_RE` has only non-capturing groups, so ``findall`` yields the
-    same full-match strings `tokenize` wraps; the word filter and
-    lower-casing are the same expressions `Token` applies.  This is the
-    offline-build hot path, where character offsets are never needed.
+    ASCII text is split on the word mask, as in `word_spans`.  For other
+    text, `_TOKEN_RE` has only non-capturing groups, so ``findall``
+    yields the same full-match strings `tokenize` wraps; the word filter
+    and lower-casing are the same expressions `Token` applies.  This is
+    the offline-build hot path, where character offsets are never needed.
     """
     next(_counter)
     if text.isascii():
-        # lower-first: same matches, already lower-cased (see word_spans)
-        return _WORD_RE.findall(text.lower())
+        return _word_mask(text).decode("ascii").split()
     return [match.lower() for match in _TOKEN_RE.findall(text) if match[:1].isalpha()]
 
 

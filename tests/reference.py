@@ -12,7 +12,10 @@ exist only so the tests can cross-check the kernel against them:
   term, as the seed scorer did;
 * :func:`automaton_columns` — an Aho–Corasick automaton's flat columns
   resolved one state and one symbol at a time in pure Python, as
-  ``FlatAutomaton.compile`` did before it resolved rows in numpy.
+  ``FlatAutomaton.compile`` did before it resolved rows in numpy;
+* :func:`phrase_states` / :func:`terminal_of` — an automaton's
+  inventory recovered by a queue BFS over its delta column, one state
+  and one symbol at a time, and the state a phrase walks to.
 """
 
 from collections import deque
@@ -169,3 +172,48 @@ def automaton_columns(phrases, interner, scores=None) -> Dict[str, list]:
             out_score[state] = float(scores.get(phrase, 0.0))
         columns["out_score"] = out_score
     return columns
+
+
+def phrase_states(automaton) -> List[tuple]:
+    """``automaton.phrase_states()`` from a queue BFS, one state and one
+    symbol at a time: a transition that reaches an unvisited state is a
+    trie edge."""
+    columns = automaton.columns()
+    delta = columns["delta"].tolist()
+    out_len = columns["out_len"].tolist()
+    terms = automaton.interner.terms
+    token_of = {
+        symbol: terms[vid]
+        for vid, symbol in enumerate(columns["sym"].tolist()[: len(terms)])
+        if symbol
+    }
+    alphabet = automaton.alphabet_size
+    visited = [True] + [False] * (automaton.state_count - 1)
+    pairs = []
+    queue = deque([(0, ())])
+    while queue:
+        state, path = queue.popleft()
+        for symbol in range(1, alphabet):
+            nxt = delta[state * alphabet + symbol]
+            if not visited[nxt]:
+                visited[nxt] = True
+                extended = path + (token_of[symbol],)
+                if out_len[nxt]:
+                    pairs.append((extended, nxt))
+                queue.append((nxt, extended))
+    return pairs
+
+
+def terminal_of(automaton, phrase) -> int:
+    """The state *automaton* reaches by walking *phrase* from the root
+    (0 when a term is out of its vocabulary)."""
+    columns = automaton.columns()
+    delta = columns["delta"].tolist()
+    sym = columns["sym"].tolist()
+    state = 0
+    for term in phrase:
+        vid = automaton.interner.id_of(term)
+        if vid is None:
+            return 0
+        state = delta[state * automaton.alphabet_size + sym[vid]]
+    return state

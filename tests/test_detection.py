@@ -14,7 +14,16 @@ from repro.detection import (
     resolve_collisions,
 )
 from repro.detection.base import PhraseDetector
+from repro.detection.patterns import _PATTERNS
 from repro.text import TokenizedDocument
+
+# Pieces that join into pattern entities, their near misses, and digits
+# of several scripts, so random texts hit every gate both ways.
+_PATTERN_PIECES = [
+    "555-123-4567", "(408) 555-1234", "+1 650.555.9876",
+    "５５５-１２３-４５６７", "٥٥٥-١٢٣-٤٥٦٧", "१२३", "7", "-", ".", " ", "\n",
+    "call", "a@b.co", "www.x.org", "http://y.com/z", "é", "@",
+]
 
 
 def find(phrases, text):
@@ -45,6 +54,30 @@ class TestPatternDetector:
         hits = self.detector.detect("call (408) 555-1234 or 650-555-9876")
         phones = [d for d in hits if d.entity_type == "phone"]
         assert len(phones) == 2
+
+    # fullwidth and Arabic-Indic digits
+    @pytest.mark.parametrize("phone", ["５５５-１２３-４５６７", "٥٥٥-١٢٣-٤٥٦٧"])
+    def test_phone_in_non_ascii_digits(self, phone):
+        hits = self.detector.detect(f"Call {phone} today")
+        assert [(d.entity_type, d.text) for d in hits] == [("phone", phone)]
+
+    @given(
+        st.lists(st.sampled_from(_PATTERN_PIECES), max_size=12).map("".join)
+        | st.text(max_size=40)
+    )
+    @settings(max_examples=300)
+    def test_gates_skip_only_scans_that_find_nothing(self, text):
+        ungated = sorted(
+            (
+                (match.start(), match.end(), entity_type)
+                for entity_type, regex, __ in _PATTERNS
+                for match in regex.finditer(text)
+            ),
+            key=lambda hit: (hit[0], hit[0] - hit[1]),
+        )
+        assert [
+            (d.start, d.end, d.entity_type) for d in self.detector.detect(text)
+        ] == ungated
 
     def test_offsets(self):
         text = "mail me at a@b.co please"

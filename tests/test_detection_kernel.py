@@ -193,6 +193,8 @@ class TestFlatAutomatonEdgeCases:
         assert_columns_match_reference(kernel.concepts, concepts)
         assert_columns_match_reference(kernel.named, named)
         assert_columns_match_reference(automaton_for(named), named)
+        for automaton in (kernel.concepts, kernel.named, kernel._combined.base):
+            assert automaton.phrase_states() == reference.phrase_states(automaton)
         scores = {
             phrase: 1.0 / (rank + 1)
             for rank, phrase in enumerate(phrase_inventory(concepts))
@@ -284,7 +286,34 @@ class TestFlatAutomatonStructure:
         pairs = automaton.phrase_states()
         assert sorted(phrase for phrase, __ in pairs) == sorted(inventory)
         for phrase, terminal in pairs:
-            assert automaton.terminal_of(phrase) == terminal
+            assert reference.terminal_of(automaton, phrase) == terminal
+        assert pairs == reference.phrase_states(automaton)
+
+    def test_phrase_states_on_damaged_rows_match_queue_bfs(self):
+        """Rows that reach one state from two parents of a level (a
+        damaged pack's, within the loader's range checks) give the queue
+        BFS's pairs: the first discovery wins, no state twice."""
+        automaton = automaton_for([("a", "x"), ("b", "y")])
+        columns = automaton.columns()
+        delta = columns["delta"].copy()
+        alphabet = automaton.alphabet_size
+        sym = columns["sym"]
+        a, b, x = (sym[automaton.interner.id_of(t)] for t in ("a", "b", "x"))
+        # point b's x entry at the trie child a -> x
+        delta[delta[b] * alphabet + x] = delta[delta[a] * alphabet + x]
+        damaged = FlatAutomaton(
+            automaton.interner,
+            delta,
+            columns["fail"],
+            columns["out_len"],
+            columns["emits"],
+            columns["out_next"],
+            sym,
+            phrase_count=automaton.phrase_count,
+        )
+        pairs = damaged.phrase_states()
+        assert pairs == reference.phrase_states(damaged)
+        assert sorted(phrase for phrase, __ in pairs) == [("a", "x"), ("b", "y")]
 
     def test_columns_reload_identically(self):
         automaton = automaton_for([("a", "b"), ("b",), ("a", "b", "c")])

@@ -161,8 +161,8 @@ class TestGoldenEquivalence:
         self, service, env_pipeline, env_world, env_detectable, env_lexicon,
         env_stories, tmp_path,
     ):
-        """A service cold-started from a pack ranks without building the
-        units automaton's scan tables; the baseline builds them once, on
+        """A service cold-started from a pack ranks without building any
+        automaton's scan tables; the baseline builds the units ones once, on
         its first concept vector, and detects and scores exactly as a
         kernel compiled in memory."""
         from repro.detection import (
@@ -204,7 +204,11 @@ class TestGoldenEquivalence:
         assert [cold.process(text) for text in texts] == [
             service.process(text) for text in texts
         ]
-        assert kernel.units._tables is None
+        # serving scans only the combined automaton's own lists
+        for automaton in (
+            kernel.units, kernel.concepts, kernel.named, kernel._combined.base
+        ):
+            assert automaton._tables is None
 
         in_memory = pipeline_with(None)  # compiles its kernel on first use
         first = pipeline.process(texts[0])

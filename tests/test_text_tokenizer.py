@@ -1,10 +1,10 @@
 """Tests for tokenization, sentence and paragraph boundaries."""
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.text import Token, paragraphs, sentences, tokenize, tokenize_lower
-from repro.text.tokenizer import iter_ngrams
+from repro.text.tokenizer import iter_ngrams, word_spans, words_lower
 
 
 class TestTokenize:
@@ -60,6 +60,61 @@ class TestTokenizeLower:
     def test_word_tokens_start_alpha(self, text):
         for word in tokenize_lower(text):
             assert word[0].isalpha()
+
+
+def reference_spans(text):
+    """The word tokens of `tokenize` as (lower-cased word, start, end)."""
+    return [(t.lower, t.start, t.end) for t in tokenize(text) if t.is_word()]
+
+
+def assert_word_paths_match(text):
+    words, starts, ends = word_spans(text)
+    assert list(zip(words, starts, ends)) == reference_spans(text)
+    assert words_lower(text) == words
+
+
+# Both letter cases, apostrophes (often, so chains and runs are common),
+# digits glued to letters, the separators the number branch joins, and
+# whitespace and NUL: every byte class the ASCII word mask treats apart.
+_ascii_texts = st.text(
+    alphabet=st.sampled_from(list("abzABZ'''09.,- \n\t\x00")), max_size=80
+)
+
+
+class TestWordPaths:
+    """`word_spans` and `words_lower` equal the word tokens of
+    `tokenize`: the byte mask for ASCII text, the regex otherwise."""
+
+    @given(_ascii_texts)
+    @example("")
+    @example("a'b'c'd'e")
+    @example("a''b")
+    @example("''")
+    @example("'abc'")
+    @example("don't stop O'Brien's rock'n'roll")
+    @example("4ab9'c d3'3 x'9")
+    @example("a" * 1_000_000).via("one 1 MB word")
+    @example("a'" * 500_000).via("a 1 MB apostrophe chain")
+    @settings(deadline=None)
+    def test_ascii_matches_tokenize(self, text):
+        assert_word_paths_match(text)
+
+    @given(st.text(max_size=80))
+    @example("cafe\u0301 nai\u0308ve don't")  # combining marks
+    @example("שלום world مرحبا")
+    @example("\x00a'b\x00é'c")
+    @example("ＡＢ abc")
+    def test_non_ascii_matches_tokenize(self, text):
+        assert_word_paths_match(text)
+
+    def test_story_offsets_recover_words(self, env_stories, env_world):
+        texts = [story.text for story in env_stories]
+        texts += [page.text for page in env_world.web_corpus]
+        for text in texts:
+            words, starts, ends = word_spans(text)
+            assert words == words_lower(text) == tokenize_lower(text)
+            for word, start, end in zip(words, starts, ends):
+                assert text[start:end].lower() == word
 
 
 class TestSentences:
