@@ -23,7 +23,6 @@ from repro.features import (
     InterestingnessExtractor,
     RelevanceModel,
     RelevantKeywordMiner,
-    build_stemmed_df,
 )
 from repro.querylog import UnitMiner, query_log_for_world
 from repro.ranking import RankSVM
@@ -73,7 +72,7 @@ def build_service(document_count, with_quality=False):
         SnippetService(engine),
         PrismaTool(engine),
         SuggestionService(log),
-        build_stemmed_df(doc.text for doc in world.web_corpus),
+        engine.corpus.stemmed_df(),
     )
     model = RelevanceModel.mine_all(miner, phrases[:RELEVANCE_PHRASES])
     relevance = PackedRelevanceStore.build(model)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.tokenized import TokenizedDocument
-from repro.text.tokenizer import word_spans, words_lower
+from repro.text.tokenizer import tokenize_lower, word_spans
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +27,13 @@ def test_micro_tokenizer(benchmark, sample_text):
 
 def test_micro_tokenize_lower(benchmark, sample_text):
     """The offline build's tokenizer: lower-cased words only."""
-    words = benchmark(words_lower, sample_text)
+    words = benchmark(tokenize_lower, sample_text)
     assert words
 
 
 def test_micro_stemmer_uncached(benchmark, sample_text):
     stemmer = PorterStemmer()
-    words = words_lower(sample_text)[:2000]
+    words = tokenize_lower(sample_text)[:2000]
 
     def run():
         return [stemmer.stem(word) for word in words]

@@ -8,10 +8,6 @@ written to ``benchmarks/RESULTS.md``.
 """
 
 import os
-import pickle
-import warnings
-from pathlib import Path
-from typing import List
 
 import pytest
 
@@ -44,55 +40,11 @@ BENCH_WORLD = WorldConfig(
 BENCH_STORIES = int(os.environ.get("REPRO_BENCH_STORIES", "1600"))
 
 
-# Building the paper-scale environment and click dataset takes minutes;
-# they are deterministic in the config, so cache them on disk.  The
-# cache also persists the environment's mined-relevance caches between
-# benchmark invocations.
-_CACHE_PATH = Path(__file__).with_name(".bench_cache.pkl")
-
-
-def _cache_key():
-    return (BENCH_WORLD, BENCH_STORIES)
-
-
-def _load_cached():
-    if not _CACHE_PATH.exists():
-        return None
-    try:
-        with open(_CACHE_PATH, "rb") as handle:
-            payload = pickle.load(handle)
-    except Exception:
-        return None
-    if payload.get("key") != _cache_key():
-        return None
-    return payload
-
-
-def _store_cache(env, dataset) -> None:
-    payload = {"key": _cache_key(), "env": env, "dataset": dataset}
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except TypeError as error:
-        # The environment's search engine holds live registry metrics
-        # (thread-local shards, locks), which do not pickle: run
-        # uncached rather than fail every benchmark at set-up.
-        warnings.warn(f"benchmark environment not cached: {error}")
-        return
-    _CACHE_PATH.write_bytes(blob)
-
-
 @pytest.fixture(scope="session")
 def _bench_state():
-    cached = _load_cached()
-    if cached is not None:
-        env, dataset = cached["env"], cached["dataset"]
-    else:
-        env = Environment.build(EnvironmentConfig(world=BENCH_WORLD))
-        dataset = collect_dataset(env, BENCH_STORIES, story_seed=1)
-        _store_cache(env, dataset)
-    yield env, dataset
-    # persist relevance-model caches mined during this session
-    _store_cache(env, dataset)
+    """The environment and click dataset, built once per session."""
+    env = Environment.build(EnvironmentConfig(world=BENCH_WORLD))
+    return env, collect_dataset(env, BENCH_STORIES, story_seed=1)
 
 
 @pytest.fixture(scope="session")

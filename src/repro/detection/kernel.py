@@ -116,7 +116,7 @@ class StemTable:
     OOV sentinel slot; ``stems[vid]`` is ``stem(term)`` for content
     terms.  Built from the same ``stem``/``is_stopword`` the Python
     stemmer pass uses (or adopted pre-stemmed from a
-    :class:`~repro.offline.corpus.TokenizedCorpus`), so the table-driven
+    :class:`~repro.text.corpus.TokenizedCorpus`), so the table-driven
     pass is string-for-string identical.
     """
 

@@ -4,7 +4,10 @@
 stack — world, query log, unit lexicon, search engine, snippet/Prisma/
 suggestion services, detectors, the concept-vector baseline, feature
 extractors, and the relevant-keyword miner — from a single seed, so an
-experiment (or an example script) needs exactly one object.
+experiment (or an example script) needs exactly one object.  The
+engine, the miner and the stemmed df are the offline build's own: one
+:class:`~repro.text.corpus.TokenizedCorpus` of the web corpus under a
+CSR-indexed engine.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.features.relevance import (
     RESOURCE_SNIPPETS,
     RelevanceModel,
     RelevantKeywordMiner,
-    build_stemmed_df,
 )
 from repro.querylog.generator import query_log_for_world
 from repro.querylog.log import QueryLog
@@ -76,8 +78,9 @@ class Environment:
         snippets = SnippetService(engine)
         prisma = PrismaTool(engine)
         suggestions = SuggestionService(query_log)
-        stemmed_df = build_stemmed_df(doc.text for doc in world.web_corpus)
-        miner = RelevantKeywordMiner(snippets, prisma, suggestions, stemmed_df)
+        miner = RelevantKeywordMiner(
+            snippets, prisma, suggestions, engine.corpus.stemmed_df()
+        )
         extractor = InterestingnessExtractor(
             query_log, lexicon, engine, world.dictionary, world.wikipedia
         )

@@ -32,7 +32,6 @@ from repro.features.relevance import (
     RelevanceModel,
     RelevanceScorer,
     RelevantKeywordMiner,
-    build_stemmed_df,
     stemmed_terms,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "RelevanceModel",
     "RelevanceScorer",
     "RelevantKeywordMiner",
-    "build_stemmed_df",
     "stemmed_terms",
 ]

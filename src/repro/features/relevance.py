@@ -22,11 +22,13 @@ relevance score in any context.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.search.prisma import PrismaTool
 from repro.search.snippets import SnippetService
@@ -36,8 +38,6 @@ from repro.text.stopwords import is_stopword
 from repro.text.tokenized import DocumentLike, TokenizedDocument
 from repro.text.tokenizer import tokenize_lower
 from repro.text.vectorize import DocumentFrequencyTable
-
-import math
 
 RelevantTerms = Tuple[Tuple[str, float], ...]
 
@@ -56,18 +56,6 @@ def stemmed_terms(text: DocumentLike) -> List[str]:
     if isinstance(text, TokenizedDocument):
         return text.stemmed_terms
     return [stem(word) for word in tokenize_lower(text) if not is_stopword(word)]
-
-
-def build_stemmed_df(texts: Iterable[str]) -> DocumentFrequencyTable:
-    """A document-frequency table over stemmed corpus text.
-
-    Relevant keywords are stored stemmed, so their idf must be computed
-    in stemmed space too.
-    """
-    table = DocumentFrequencyTable()
-    for text in texts:
-        table.add_document(stemmed_terms(text))
-    return table
 
 
 # -- process-pool plumbing -------------------------------------------------
@@ -102,7 +90,13 @@ def _chunked(items: Sequence, size: int) -> List[List]:
 
 
 class RelevantKeywordMiner:
-    """Mines relevantTerms_i for concepts from the three resources."""
+    """Mines relevantTerms_i for concepts from the three resources.
+
+    Snippet and Prisma keywords are counted on the interned id arrays of
+    the snippet service's corpus: stems, stopwords and the alphabetical
+    tie-break come from its per-vocabulary tables, and ``stemmed_df``'s
+    raw idf is evaluated once per stem at construction.
+    """
 
     def __init__(
         self,
@@ -117,19 +111,23 @@ class RelevantKeywordMiner:
         self._suggestions = suggestions
         self._df = stemmed_df
         self.keyword_count = keyword_count
+        self._corpus = snippet_service.corpus
+        self._raw_idf = self._corpus.raw_idf_vector(stemmed_df)
 
     # -- per-resource mining ------------------------------------------------
 
     def mine_from_snippets(self, phrase: str) -> RelevantTerms:
         """tf*idf over the concatenated top-100 result snippets."""
-        snippets = self._snippets.snippets_for_phrase(phrase, limit=100)
-        return self._tf_idf_keywords(phrase, " ".join(snippets))
+        windows = self._snippets.windows(phrase, limit=100)
+        if not windows:
+            return ()
+        return self._tf_idf_keywords(phrase, np.concatenate(windows))
 
     def mine_from_prisma(self, phrase: str) -> RelevantTerms:
         """tf*idf over the (at most twenty) Prisma feedback terms."""
-        feedback = self._prisma.feedback(phrase)
-        document = " ".join(term for term, __ in feedback)
-        return self._tf_idf_keywords(phrase, document)
+        vocabulary = self._corpus.vocabulary
+        ids = [vocabulary[term] for term, __ in self._prisma.feedback(phrase)]
+        return self._tf_idf_keywords(phrase, np.asarray(ids, dtype=np.int64))
 
     def mine_from_suggestions(self, phrase: str) -> RelevantTerms:
         """sum_k ln(freq_k) * idf scoring over related-query suggestions."""
@@ -213,15 +211,29 @@ class RelevantKeywordMiner:
 
     # -- helpers ---------------------------------------------------------
 
-    def _tf_idf_keywords(self, phrase: str, document: str) -> RelevantTerms:
-        concept_stems = set(stemmed_terms(phrase))
-        counts = Counter(
-            term for term in stemmed_terms(document) if term not in concept_stems
+    def _tf_idf_keywords(self, phrase: str, ids: np.ndarray) -> RelevantTerms:
+        """tf*idf over the stems of token *ids*, top ``keyword_count``
+        by ``(-score, stem)``; stopwords and the concept's stems are
+        excluded."""
+        corpus = self._corpus
+        stem_ids = corpus.stem_ids[ids[~corpus.stop_mask[ids]]]
+        concept = [
+            corpus.stem_index[term]
+            for term in stemmed_terms(phrase)
+            if term in corpus.stem_index
+        ]
+        if concept:
+            stem_ids = stem_ids[~np.isin(stem_ids, concept)]
+        if not stem_ids.size:
+            return ()
+        unique_sids, counts = np.unique(stem_ids, return_counts=True)
+        scores = counts * self._raw_idf[unique_sids]
+        order = np.lexsort((corpus.stem_alpha_rank[unique_sids], -scores))
+        stem_terms = corpus.stem_terms
+        return tuple(
+            (stem_terms[unique_sids[at]], float(scores[at]))
+            for at in order[: self.keyword_count].tolist()
         )
-        scores = {
-            term: count * self._df.raw_idf(term) for term, count in counts.items()
-        }
-        return self._top_terms(scores)
 
     def _top_terms(self, scores: Dict[str, float]) -> RelevantTerms:
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

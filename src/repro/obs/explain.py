@@ -2,11 +2,12 @@
 
 The deployed ranking model is a linear RankSVM over standardized
 features, so every decision score is an exact sum of per-feature terms
-``w_j * (x_j - mean_j) / scale_j``.  :class:`ExplainableRanker` runs
-the very same scoring path as :class:`~repro.ranking.model.ConceptRanker`
-(same feature matrix, same decision function, same relevance
-tie-break, same stable argsort) and additionally materializes one
-:class:`RankExplanation` per ranked concept:
+``w_j * (x_j - mean_j) / scale_j``.  :func:`explain_document` ranks
+with :meth:`ConceptRanker.rank_scored
+<repro.ranking.model.ConceptRanker.rank_scored>`, the ranker's one
+scoring pass, and decomposes the feature matrix, relevance and decision
+scores that pass hands back into one :class:`RankExplanation` per
+ranked concept:
 
 * a :class:`FeatureContribution` per model column — raw model-space
   value, standardized value, learned weight, and the additive
@@ -29,23 +30,18 @@ explanation requests against an RBF model raise ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.detection.base import Detection
 from repro.detection.pipeline import AnnotatedDocument
 from repro.features.interestingness import FEATURE_GROUPS
 from repro.obs.trace import NULL_CLOCK
-from repro.ranking.baselines import tie_break_by_relevance
-from repro.ranking.model import FeatureAssembler
-from repro.ranking.ranksvm import RankSVM
-from repro.text.tokenized import DocumentLike
+from repro.ranking.model import ConceptRanker
 
 __all__ = [
     "FeatureContribution",
     "RankExplanation",
-    "ExplainableRanker",
+    "explain_document",
     "feature_group_of",
 ]
 
@@ -133,112 +129,51 @@ class RankExplanation:
         }
 
 
-class ExplainableRanker:
-    """The ranking path with the decomposition attached.
+def explain_document(
+    ranker: ConceptRanker, annotated: AnnotatedDocument, clock=NULL_CLOCK
+) -> Tuple[List[Detection], List[RankExplanation]]:
+    """``ranker.rank_document(annotated)`` plus one explanation per
+    detection, from the same scoring pass.
 
-    Scores are computed with the same operations (and therefore the
-    same floats) as :class:`~repro.ranking.model.ConceptRanker`:
-    context stems, one batched ``matrix_and_relevance`` lookup, the
-    RankSVM decision function, the relevance tie-break, and a stable
-    descending argsort.  ``explain=True`` can never reorder anything.
+    ``explanations[i]`` explains ``ranked[i]`` (``rank == i``); *clock*
+    laps ``rank`` as :meth:`ConceptRanker.scoring_pass` does.  The
+    decomposition raises ``ValueError`` for a non-linear model.
     """
-
-    def __init__(
-        self,
-        assembler: FeatureAssembler,
-        model: RankSVM,
-        tie_break_with_relevance: bool = True,
-    ):
-        self._assembler = assembler
-        self._model = model
-        self.tie_break_with_relevance = tie_break_with_relevance
-        self.feature_observer = None  # same tap as ConceptRanker's
-
-    def explain_phrases(
-        self, phrases: List[str], text: DocumentLike, clock=NULL_CLOCK
-    ) -> Tuple[np.ndarray, List[RankExplanation]]:
-        """(final scores, unordered explanations).
-
-        Explanations come back in *phrases* order with ``rank=-1``;
-        :meth:`explain_document` assigns ranks after sorting.  *clock*
-        laps ``rank`` once the feature matrix is assembled, exactly as
-        :meth:`ConceptRanker.score_phrases` does.
-        """
-        if not phrases:
-            clock.lap("rank")
-            return np.zeros(0), []
-        context = self._assembler.context_of(text)
-        features, relevance = self._assembler.matrix_and_relevance(
-            phrases, context
+    ranked, scored, order = ranker.rank_scored(annotated, clock)
+    if not ranked:
+        return ranked, []
+    features = scored.features
+    model = ranker.model
+    contributions = model.feature_contributions(features)
+    standardized = model.standardize(features)
+    names = ranker.assembler.feature_names()
+    if len(names) != features.shape[1]:  # pragma: no cover - config bug
+        raise ValueError(
+            f"feature name count {len(names)} != matrix width "
+            f"{features.shape[1]}"
         )
-        clock.lap("rank")
-        if self.feature_observer is not None:
-            self.feature_observer(features)
-        decision = self._model.decision_function(features)
-        if self.tie_break_with_relevance:
-            scores = tie_break_by_relevance(decision, relevance)
-        else:
-            scores = decision
-        contributions = self._model.feature_contributions(features)
-        names = self._assembler.feature_names()
-        if len(names) != features.shape[1]:  # pragma: no cover - config bug
-            raise ValueError(
-                f"feature name count {len(names)} != matrix width "
-                f"{features.shape[1]}"
-            )
-        groups = [feature_group_of(name) for name in names]
-        weights = self._model.weights_
-        standardized = self._model.standardize(features)
-        explanations = [
-            RankExplanation(
-                phrase=phrases[row],
-                rank=-1,
-                score=float(scores[row]),
-                decision_score=float(decision[row]),
-                tie_break=float(scores[row] - decision[row]),
-                relevance=float(relevance[row]),
-                contributions=[
-                    FeatureContribution(
-                        name=names[column],
-                        group=groups[column],
-                        value=float(features[row, column]),
-                        standardized=float(standardized[row, column]),
-                        weight=float(weights[column]),
-                        contribution=float(contributions[row, column]),
-                    )
-                    for column in range(features.shape[1])
-                ],
-            )
-            for row in range(len(phrases))
-        ]
-        return scores, explanations
-
-    def explain_document(
-        self,
-        annotated: AnnotatedDocument,
-        top: Optional[int] = None,
-        clock=NULL_CLOCK,
-    ) -> Tuple[List[Detection], List[RankExplanation]]:
-        """``rank_document`` plus one explanation per detection.
-
-        The returned explanations align with the ranked detections
-        (``explanations[i]`` explains ``ranked[i]``, ``rank == i``).
-        """
-        rankable = annotated.rankable()
-        tokens = getattr(annotated, "tokens", None)
-        source: DocumentLike = tokens if tokens is not None else annotated.text
-        scores, explanations = self.explain_phrases(
-            [d.phrase for d in rankable], source, clock
+    groups = [feature_group_of(name) for name in names]
+    weights = model.weights_
+    explanations = [
+        RankExplanation(
+            phrase=detection.phrase,
+            rank=rank,
+            score=detection.score,
+            decision_score=float(scored.decision[row]),
+            tie_break=float(scored.scores[row] - scored.decision[row]),
+            relevance=float(scored.relevance[row]),
+            contributions=[
+                FeatureContribution(
+                    name=names[column],
+                    group=groups[column],
+                    value=float(features[row, column]),
+                    standardized=float(standardized[row, column]),
+                    weight=float(weights[column]),
+                    contribution=float(contributions[row, column]),
+                )
+                for column in range(features.shape[1])
+            ],
         )
-        order = np.argsort(-scores, kind="stable")
-        if top is not None:
-            order = order[:top]
-        ranked: List[Detection] = []
-        ordered: List[RankExplanation] = []
-        for rank, index in enumerate(order):
-            index = int(index)
-            ranked.append(rankable[index].with_score(float(scores[index])))
-            explanation = explanations[index]
-            explanation.rank = rank
-            ordered.append(explanation)
-        return ranked, ordered
+        for rank, (detection, row) in enumerate(zip(ranked, order))
+    ]
+    return ranked, explanations

@@ -6,15 +6,10 @@ the production framework).
 """
 
 from repro.offline.builder import BuildConfig, BuildReport, OfflineBuilder, StageStats
-from repro.offline.corpus import TokenizedCorpus
-from repro.offline.mining import VectorizedKeywordMiner, VectorizedPrismaTool
 
 __all__ = [
     "BuildConfig",
     "BuildReport",
     "OfflineBuilder",
     "StageStats",
-    "TokenizedCorpus",
-    "VectorizedKeywordMiner",
-    "VectorizedPrismaTool",
 ]

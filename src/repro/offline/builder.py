@@ -13,10 +13,11 @@ as an explicit stage DAG::
 with per-stage timings from one stage clock (the same readings feed
 the report, the ``span_seconds`` histograms and the sampled build
 trace).  One tokenization pass is shared by all stages
-(:class:`TokenizedCorpus`); the index is the CSR frozen index, the
-relevant keywords are mined on id arrays
-(:class:`~repro.offline.mining.VectorizedKeywordMiner`), and the
-per-concept relevance mining can fan out over a process pool.
+(:class:`~repro.text.corpus.TokenizedCorpus`); the index is the
+engine's CSR index over it, the relevant keywords are mined on its id
+arrays (:class:`~repro.features.relevance.RelevantKeywordMiner`, the
+miner the eval environment runs too), and the per-concept relevance
+mining can fan out over a process pool.
 
 Every worker count produces byte-identical packs — chunk results merge
 in input order and global TIDs are assigned in phrase order, so the
@@ -40,11 +41,13 @@ from repro.obs import Tracer, get_tracer
 from repro.obs.trace import StageClock
 from repro.obs.quality import DriftBaseline
 from repro.features.interestingness import InterestingnessExtractor
-from repro.features.relevance import RESOURCE_SNIPPETS, RelevanceModel
+from repro.features.relevance import (
+    RESOURCE_SNIPPETS,
+    RelevanceModel,
+    RelevantKeywordMiner,
+)
 from repro.detection.concepts import detectable_concept_phrases
 from repro.detection.kernel import DetectionKernel
-from repro.offline.corpus import TokenizedCorpus, normalize_documents
-from repro.offline.mining import VectorizedKeywordMiner
 from repro.querylog.log import QueryLog
 from repro.querylog.units import UnitMiner
 from repro.runtime.datapack import (
@@ -54,7 +57,11 @@ from repro.runtime.datapack import (
 )
 from repro.runtime.store import QuantizedInterestingnessStore
 from repro.runtime.tid import PackedRelevanceStore
+from repro.search.engine import SearchEngine
+from repro.search.prisma import PrismaTool
+from repro.search.snippets import SnippetService
 from repro.search.suggestions import SuggestionService
+from repro.text.corpus import TokenizedCorpus, normalize_documents
 
 INTERESTINGNESS_PACK = "interestingness.rpak"
 RELEVANCE_PACK = "relevance.rpak"
@@ -258,7 +265,7 @@ class OfflineBuilder:
             "index",
             len(docs),
             "docs",
-            lambda: corpus.engine(k1=config.k1, b=config.b),
+            lambda: SearchEngine(corpus, k1=config.k1, b=config.b),
         )
         lexicon = runner.run(
             "units",
@@ -277,9 +284,9 @@ class OfflineBuilder:
             lambda: extractor.extract_many(phrases),
         )
 
-        miner = VectorizedKeywordMiner(
-            corpus,
-            engine,
+        miner = RelevantKeywordMiner(
+            SnippetService(engine),
+            PrismaTool(engine),
             SuggestionService(query_log),
             stemmed_df,
             config.keyword_count,

@@ -198,6 +198,23 @@ class FeatureAssembler:
         return self._batched_scores(phrases, context)
 
 
+@dataclass(frozen=True)
+class ScoringPass:
+    """One scoring pass over a document's candidate phrases.
+
+    ``scores`` are the ranking scores: the RankSVM ``decision`` plus,
+    when the ranker breaks ties by relevance, the relevance tie-break.
+    ``features`` is the assembled model matrix and ``relevance`` the raw
+    relevance summations, so a caller can decompose a score without
+    scoring again.
+    """
+
+    features: np.ndarray
+    relevance: np.ndarray
+    decision: np.ndarray
+    scores: np.ndarray
+
+
 class ConceptRanker:
     """Ranks a document's candidate concepts with a trained RankSVM."""
 
@@ -215,10 +232,18 @@ class ConceptRanker:
         # beyond one identity check.
         self.feature_observer = None
 
-    def score_phrases(
+    @property
+    def assembler(self) -> FeatureAssembler:
+        return self._assembler
+
+    @property
+    def model(self) -> RankSVM:
+        return self._model
+
+    def scoring_pass(
         self, phrases: Sequence[str], text: DocumentLike, clock=NULL_CLOCK
-    ) -> np.ndarray:
-        """Model scores for candidate *phrases* of document *text*.
+    ) -> ScoringPass:
+        """Score candidate *phrases* of document *text*.
 
         *clock* laps ``rank`` once the feature matrix is assembled, so
         a caller's running stage covers the context stems, the store
@@ -227,16 +252,24 @@ class ConceptRanker:
         """
         if not phrases:
             clock.lap("rank")
-            return np.zeros(0)
+            empty = np.zeros(0)
+            return ScoringPass(np.zeros((0, 0)), empty, empty, empty)
         context = self._assembler.context_of(text)
         features, relevance = self._assembler.matrix_and_relevance(phrases, context)
         clock.lap("rank")
         if self.feature_observer is not None:
             self.feature_observer(features)
-        scores = self._model.decision_function(features)
+        decision = self._model.decision_function(features)
+        scores = decision
         if self.tie_break_with_relevance:
-            scores = tie_break_by_relevance(scores, relevance)
-        return scores
+            scores = tie_break_by_relevance(decision, relevance)
+        return ScoringPass(features, relevance, decision, scores)
+
+    def score_phrases(
+        self, phrases: Sequence[str], text: DocumentLike, clock=NULL_CLOCK
+    ) -> np.ndarray:
+        """Model scores for candidate *phrases* of document *text*."""
+        return self.scoring_pass(phrases, text, clock).scores
 
     def rank_phrases(
         self, phrases: Sequence[str], text: str
@@ -245,6 +278,22 @@ class ConceptRanker:
         scores = self.score_phrases(phrases, text)
         order = np.argsort(-scores, kind="stable")
         return [(phrases[int(i)], float(scores[int(i)])) for i in order]
+
+    def rank_scored(
+        self, annotated: AnnotatedDocument, clock=NULL_CLOCK
+    ) -> Tuple[List[Detection], ScoringPass, List[int]]:
+        """``(ranked detections, scoring pass, order)``: ``ranked[i]``
+        is rankable detection ``order[i]``, scored by row ``order[i]``
+        of the pass."""
+        rankable = annotated.rankable()
+        source: DocumentLike = (
+            annotated.tokens if annotated.tokens is not None else annotated.text
+        )
+        scored = self.scoring_pass([d.phrase for d in rankable], source, clock)
+        scores = scored.scores
+        order = np.argsort(-scores, kind="stable").tolist()
+        ranked = [rankable[i].with_score(float(scores[i])) for i in order]
+        return ranked, scored, order
 
     def rank_document(
         self, annotated: AnnotatedDocument, clock=NULL_CLOCK
@@ -255,15 +304,9 @@ class ConceptRanker:
         an application keeps the top N of this list.  When *annotated*
         carries the pipeline's shared token stream the relevance context
         reuses it; otherwise the text is re-analysed.  *clock* laps
-        ``rank`` as in :meth:`score_phrases`.
+        ``rank`` as in :meth:`scoring_pass`.
         """
-        rankable = annotated.rankable()
-        # getattr: documents unpickled from pre-single-pass caches lack .tokens
-        tokens = getattr(annotated, "tokens", None)
-        source: DocumentLike = tokens if tokens is not None else annotated.text
-        scores = self.score_phrases([d.phrase for d in rankable], source, clock)
-        order = np.argsort(-scores, kind="stable")
-        return [rankable[int(i)].with_score(float(scores[int(i)])) for i in order]
+        return self.rank_scored(annotated, clock)[0]
 
     def top_detections(
         self, annotated: AnnotatedDocument, count: int

@@ -29,9 +29,9 @@ observability enabled or disabled (``benchmarks/bench_obs.py`` checks
 that and times the overhead).
 
 Ranking-quality observability rides on the same path: ``process(...,
-explain=True)`` swaps in the :class:`~repro.obs.explain.ExplainableRanker`
-(same floats, same order, plus per-feature score decompositions), an
-attached :class:`~repro.obs.quality.QualityMonitor` sees every ranking,
+explain=True)`` decomposes the ranker's own scoring pass per feature
+(:func:`~repro.obs.explain.explain_document`: same floats, same order),
+an attached :class:`~repro.obs.quality.QualityMonitor` sees every ranking,
 and an attached :class:`~repro.obs.quality.DriftDetector` taps every
 assembled feature matrix through ``ConceptRanker.feature_observer``.
 """
@@ -49,6 +49,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
+from repro.obs.explain import explain_document
 from repro.obs.trace import StageClock
 from repro.ranking.model import ConceptRanker, FeatureAssembler
 from repro.ranking.ranksvm import RankSVM
@@ -101,7 +102,6 @@ class RankerService:
         self._assembler = assembler
         self._model = model
         self._ranker = ConceptRanker(assembler, model)
-        self._explainer = None  # built lazily on the first explain=True
         self.quality = quality
         self.drift = drift
         if drift is not None:
@@ -184,16 +184,6 @@ class RankerService:
             components["feature_arena"] = arena
         return record_resident_bytes(components, registry=self._registry)
 
-    def _explainable_ranker(self):
-        """The explain-path twin of the ranker (built on first use)."""
-        if self._explainer is None:
-            from repro.obs.explain import ExplainableRanker
-
-            explainer = ExplainableRanker(self._assembler, self._model)
-            explainer.feature_observer = self._ranker.feature_observer
-            self._explainer = explainer
-        return self._explainer
-
     def process(
         self, text: str, top: Optional[int] = None, explain: bool = False
     ):
@@ -202,8 +192,8 @@ class RankerService:
         Returns the ranked detections; with ``explain=True`` returns
         ``(ranked, explanations)`` instead, where ``explanations[i]``
         decomposes ``ranked[i]``'s score per feature (linear kernel
-        only).  The ranked order is identical either way — the explain
-        path replays the exact same float operations.
+        only).  The ranked order is identical either way — both come
+        from the same scoring pass.
         """
         trace = self._tracer.start("process")
         clock = StageClock(self._m_stage, trace)
@@ -231,9 +221,8 @@ class RankerService:
             # The ranker laps "rank" once the feature matrix is built.
             explanations = None
             if explain:
-                explainer = self._explainable_ranker()
-                ranked, explanations = explainer.explain_document(
-                    pruned, clock=clock
+                ranked, explanations = explain_document(
+                    self._ranker, pruned, clock
                 )
             else:
                 ranked = self._ranker.rank_document(pruned, clock)

@@ -2,18 +2,15 @@
 
 from repro.search.engine import SearchEngine, SearchResult
 from repro.search.frozen import FrozenInvertedIndex
-from repro.search.index import InvertedIndex
 from repro.search.prisma import PrismaTool
-from repro.search.snippets import SnippetService, make_snippet
+from repro.search.snippets import SnippetService
 from repro.search.suggestions import SuggestionService
 
 __all__ = [
     "SearchEngine",
     "SearchResult",
-    "InvertedIndex",
     "FrozenInvertedIndex",
     "PrismaTool",
     "SnippetService",
-    "make_snippet",
     "SuggestionService",
 ]

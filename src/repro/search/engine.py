@@ -11,19 +11,24 @@ Stands in for Yahoo! Search wherever the paper consumes it:
 
 Scoring is BM25 (free queries) or summed phrase tf*idf (phrase
 queries); both only use index statistics, exactly like a real engine.
+An engine is built from a :class:`~repro.text.corpus.TokenizedCorpus`:
+its index is the corpus's id streams as CSR columns
+(:class:`~repro.search.frozen.FrozenInvertedIndex`), and every query is
+array arithmetic over them.  ``tests/reference.py`` scores the same
+queries by scanning token lists; the tests hold the two equal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.obs import get_registry
 from repro.search.frozen import FrozenInvertedIndex
-from repro.search.index import InvertedIndex
+from repro.text.corpus import TokenizedCorpus
 from repro.text.tokenizer import tokenize_lower
 
 
@@ -36,23 +41,24 @@ class SearchResult:
 
 
 class SearchEngine:
-    """BM25 search over tokenized documents, with phrase support.
+    """BM25 search over a tokenized corpus, with phrase support.
 
-    Documents are staged into the mutable dict-backed
-    :class:`InvertedIndex`; calling :meth:`freeze` snapshots it into CSR
-    numpy columns (:class:`FrozenInvertedIndex`) after which every query
-    runs through the vectorized scorers.  Frozen and staged engines
-    return identical results, bit-for-bit — the vectorized paths
-    replicate the seed arithmetic in the seed's accumulation order.
+    ``corpus`` is the :class:`TokenizedCorpus` the engine indexes; the
+    snippet service and Prisma read documents from it as id arrays.
     """
 
-    def __init__(self, k1: float = 1.2, b: float = 0.75):
+    def __init__(self, corpus: TokenizedCorpus, k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        self._index = InvertedIndex()
-        self._tokens: Dict[int, List[str]] = {}
-        self._frozen: Optional[FrozenInvertedIndex] = None
-        self._length_norm: Optional[np.ndarray] = None
+        self.corpus = corpus
+        self.frozen = FrozenInvertedIndex.from_token_streams(
+            corpus.doc_ids, corpus.id_arrays, corpus.terms
+        )
+        avg_len = self.frozen.average_document_length or 1.0
+        lengths = self.frozen.doc_lengths.astype(np.float64)
+        # BM25's length norm, 1 - b + (b * doc_length) / avg_length,
+        # left to right.
+        self._length_norm = 1 - b + b * lengths / avg_len
         registry = get_registry()
         self._m_queries = {
             kind: registry.counter(
@@ -63,90 +69,34 @@ class SearchEngine:
             for kind in ("free", "phrase", "count", "phrase_count")
         }
 
-    @property
-    def index(self):
-        """The active index: the frozen snapshot once one exists."""
-        return self._frozen if self._frozen is not None else self._index
-
-    @property
-    def frozen(self) -> Optional[FrozenInvertedIndex]:
-        return self._frozen
-
-    @property
-    def is_frozen(self) -> bool:
-        return self._frozen is not None
+    @classmethod
+    def from_corpus(cls, documents, k1: float = 1.2, b: float = 0.75) -> "SearchEngine":
+        """Index an iterable of objects with ``doc_id`` and ``text``
+        (or ``(doc_id, text)`` pairs)."""
+        return cls(TokenizedCorpus(documents), k1=k1, b=b)
 
     @property
     def document_count(self) -> int:
-        return self.index.document_count
-
-    def add_document(self, doc_id: int, text: str) -> None:
-        """Tokenize and index one document."""
-        self.add_document_tokens(doc_id, tokenize_lower(text))
-
-    def add_document_tokens(self, doc_id: int, tokens: List[str]) -> None:
-        """Index an already tokenized document (offline fast path)."""
-        if self._frozen is not None:
-            raise RuntimeError("engine is frozen; cannot add documents")
-        self._index.add_document(doc_id, tokens)
-        self._tokens[doc_id] = tokens
-
-    def freeze(self) -> FrozenInvertedIndex:
-        """Snapshot the staged index into CSR columns (idempotent)."""
-        if self._frozen is None:
-            self._adopt(FrozenInvertedIndex.from_index(self._index))
-        return self._frozen
-
-    def _adopt(self, frozen: FrozenInvertedIndex) -> None:
-        self._frozen = frozen
-        avg_len = frozen.average_document_length or 1.0
-        lengths = frozen.doc_lengths.astype(np.float64)
-        # Same association order as the scalar path:
-        # 1 - b + (b * doc_length) / avg_length, left to right.
-        self._length_norm = 1 - self.b + self.b * lengths / avg_len
+        return self.frozen.document_count
 
     def tokens(self, doc_id: int) -> List[str]:
         """The indexed token sequence of a document."""
-        return self._tokens[doc_id]
-
-    @classmethod
-    def from_frozen(
-        cls,
-        frozen: FrozenInvertedIndex,
-        tokens: Dict[int, List[str]],
-        k1: float = 1.2,
-        b: float = 0.75,
-    ) -> "SearchEngine":
-        """Wrap a pre-built CSR index (skips the dict staging form)."""
-        engine = cls(k1=k1, b=b)
-        engine._tokens = tokens
-        engine._adopt(frozen)
-        return engine
+        corpus = self.corpus
+        terms = corpus.terms
+        return [terms[vid] for vid in corpus.id_arrays[corpus.doc_row(doc_id)].tolist()]
 
     # -- scoring ---------------------------------------------------------
 
     def _idf(self, term: str) -> float:
-        df = self.index.document_frequency(term)
-        n = self.index.document_count
+        df = self.frozen.document_frequency(term)
+        n = self.frozen.document_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-    def _bm25(self, terms: Sequence[str], doc_id: int) -> float:
-        index = self.index
-        avg_len = index.average_document_length or 1.0
-        length_norm = 1 - self.b + self.b * index.doc_length(doc_id) / avg_len
-        score = 0.0
-        for term in set(terms):
-            tf = index.term_frequency(term, doc_id)
-            if tf == 0:
-                continue
-            score += self._idf(term) * tf * (self.k1 + 1) / (tf + self.k1 * length_norm)
-        return score
 
     def _ranked_results(
         self, rows: np.ndarray, scores: np.ndarray, limit: int
     ) -> List[SearchResult]:
         """Sort (-score, doc_id) and materialise the top *limit*."""
-        doc_ids = self._frozen.doc_ids[rows]
+        doc_ids = self.frozen.doc_ids[rows]
         order = np.lexsort((doc_ids, -scores))[:limit]
         return [
             SearchResult(doc_id, score)
@@ -155,13 +105,15 @@ class SearchEngine:
             )
         ]
 
-    def _search_frozen(self, terms: Sequence[str], limit: int) -> List[SearchResult]:
-        """Vectorized BM25: one gather-accumulate per distinct term.
+    # -- queries ---------------------------------------------------------
 
-        Per-posting arithmetic mirrors :meth:`_bm25` exactly — same
-        operand order, same float64 ops — so scores are bit-identical.
-        """
-        frozen = self._frozen
+    def search(self, query: str, limit: int = 10) -> List[SearchResult]:
+        """Free-text BM25 search: one gather-accumulate per distinct term."""
+        self._m_queries["free"].inc()
+        terms = tokenize_lower(query)
+        if not terms:
+            return []
+        frozen = self.frozen
         scores = np.zeros(frozen.document_count)
         touched = np.zeros(frozen.document_count, dtype=bool)
         k1 = self.k1
@@ -181,25 +133,6 @@ class SearchEngine:
             return []
         return self._ranked_results(rows, scores[rows], limit)
 
-    # -- queries ---------------------------------------------------------
-
-    def search(self, query: str, limit: int = 10) -> List[SearchResult]:
-        """Free-text BM25 search."""
-        self._m_queries["free"].inc()
-        terms = tokenize_lower(query)
-        if not terms:
-            return []
-        if self._frozen is not None:
-            return self._search_frozen(terms, limit)
-        candidates = set()
-        for term in set(terms):
-            candidates.update(self._index.postings(term))
-        scored = [
-            SearchResult(doc_id, self._bm25(terms, doc_id)) for doc_id in candidates
-        ]
-        scored.sort(key=lambda r: (-r.score, r.doc_id))
-        return scored[:limit]
-
     def phrase_search(self, phrase: str, limit: int = 10) -> List[SearchResult]:
         """Exact-phrase search, scored by phrase frequency * idf."""
         self._m_queries["phrase"].inc()
@@ -207,17 +140,10 @@ class SearchEngine:
         if not terms:
             return []
         idf = sum(self._idf(term) for term in terms)
-        if self._frozen is not None:
-            rows, counts, __ = self._frozen.phrase_occurrences(terms)
-            if not rows.size:
-                return []
-            return self._ranked_results(rows, counts * idf, limit)
-        matches = self._index.phrase_postings(terms)
-        scored = [
-            SearchResult(doc_id, count * idf) for doc_id, count in matches.items()
-        ]
-        scored.sort(key=lambda r: (-r.score, r.doc_id))
-        return scored[:limit]
+        rows, counts, __ = self.frozen.phrase_occurrences(terms)
+        if not rows.size:
+            return []
+        return self._ranked_results(rows, counts * idf, limit)
 
     def phrase_result_count(self, phrase: str) -> int:
         """Feature 4: total number of pages matching the phrase query."""
@@ -225,30 +151,15 @@ class SearchEngine:
         terms = tokenize_lower(phrase)
         if not terms:
             return 0
-        return self.index.phrase_document_count(terms)
+        return self.frozen.phrase_document_count(terms)
 
     def result_count(self, query: str) -> int:
         """Total number of pages matching the free query (any term)."""
         self._m_queries["count"].inc()
-        terms = tokenize_lower(query)
-        if self._frozen is not None:
-            frozen = self._frozen
-            touched = np.zeros(frozen.document_count, dtype=bool)
-            for term in set(terms):
-                slot = frozen.slot(term)
-                if slot is not None:
-                    rows, __ = frozen.posting_slice(slot)
-                    touched[rows] = True
-            return int(touched.sum())
-        candidates = set()
-        for term in set(terms):
-            candidates.update(self._index.postings(term))
-        return len(candidates)
-
-    @classmethod
-    def from_corpus(cls, documents, k1: float = 1.2, b: float = 0.75) -> "SearchEngine":
-        """Index an iterable of objects with ``doc_id`` and ``text``."""
-        engine = cls(k1=k1, b=b)
-        for document in documents:
-            engine.add_document(document.doc_id, document.text)
-        return engine
+        frozen = self.frozen
+        touched = np.zeros(frozen.document_count, dtype=bool)
+        for term in set(tokenize_lower(query)):
+            slot = frozen.slot(term)
+            if slot is not None:
+                touched[frozen.posting_slice(slot)[0]] = True
+        return int(touched.sum())

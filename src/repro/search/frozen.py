@@ -1,14 +1,13 @@
-"""Frozen CSR inverted index: the immutable offline-build form.
+"""The search engine's inverted index: immutable CSR numpy columns.
 
-The dict-of-dicts :class:`~repro.search.index.InvertedIndex` stays the
-mutable *staging* form; once a corpus is fully indexed, the offline
-builder freezes it into compressed-sparse-row numpy columns:
+Built once from a :class:`~repro.text.corpus.TokenizedCorpus`'s interned
+token streams (:meth:`FrozenInvertedIndex.from_token_streams`):
 
 * ``terms``               sorted term table (lexicographic);
 * ``term_offsets``        int64[T+1] — postings of term slot ``t`` live in
                           ``posting_docs[term_offsets[t]:term_offsets[t+1]]``;
 * ``posting_docs``        uint32[P] — document *row* of each posting
-                          (rows follow indexing order; ``doc_ids[row]``
+                          (rows follow corpus order; ``doc_ids[row]``
                           maps back to the external id);
 * ``position_offsets``    int64[P+1] — positions of posting ``p`` live in
                           ``positions[position_offsets[p]:position_offsets[p+1]]``;
@@ -22,24 +21,23 @@ encodes every occurrence of term *i* as the stride key
 phrase starting at ``s`` in document ``d`` appears as the key
 ``d * stride + s`` in *every* term's key set, so the match set is a
 chain of ``np.intersect1d`` calls and per-document counts fall out of
-``np.unique``.  All answers are integer-exact matches for the dict
-implementation (golden-tested in tests/test_frozen_index.py).
+``np.unique``.  ``tests/reference.py`` counts the same occurrences by
+scanning token lists; the tests hold the two equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_registry
-from repro.search.index import InvertedIndex
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
 class FrozenInvertedIndex:
-    """Read-only CSR snapshot of an :class:`InvertedIndex`."""
+    """Read-only CSR positional index over a tokenized corpus."""
 
     __slots__ = (
         "terms",
@@ -51,7 +49,6 @@ class FrozenInvertedIndex:
         "doc_lengths",
         "tf_counts",
         "_slots",
-        "_doc_rows",
         "_average_length",
         "_stride",
         "_m_phrase",
@@ -76,10 +73,7 @@ class FrozenInvertedIndex:
         self.doc_lengths = np.ascontiguousarray(doc_lengths, dtype=np.int64)
         self.tf_counts = np.diff(self.position_offsets)
         self._slots: Dict[str, int] = {term: i for i, term in enumerate(self.terms)}
-        self._doc_rows: Dict[int, int] = {
-            int(doc_id): row for row, doc_id in enumerate(self.doc_ids.tolist())
-        }
-        # Same arithmetic as the dict index: python-int sum / count.
+        # One Python-int sum, then one division: the reference's average.
         count = len(self.doc_ids)
         self._average_length = (
             int(self.doc_lengths.sum()) / count if count else 0.0
@@ -91,7 +85,7 @@ class FrozenInvertedIndex:
             help="phrase-occurrence intersections on the frozen index",
         )
 
-    # -- document statistics (dict-index API parity) ---------------------
+    # -- document statistics ---------------------------------------------
 
     @property
     def document_count(self) -> int:
@@ -108,16 +102,6 @@ class FrozenInvertedIndex:
         """Row of *term* in the sorted term table (None if unseen)."""
         return self._slots.get(term)
 
-    def doc_row(self, doc_id: int) -> int:
-        return self._doc_rows[doc_id]
-
-    def doc_length(self, doc_id: int) -> int:
-        return int(self.doc_lengths[self._doc_rows[doc_id]])
-
-    def doc_items(self) -> List[Tuple[int, int]]:
-        """(doc_id, length) pairs in indexing order."""
-        return list(zip(self.doc_ids.tolist(), self.doc_lengths.tolist()))
-
     def document_frequency(self, term: str) -> int:
         slot = self._slots.get(term)
         if slot is None:
@@ -129,32 +113,6 @@ class FrozenInvertedIndex:
         lo = self.term_offsets[slot]
         hi = self.term_offsets[slot + 1]
         return self.posting_docs[lo:hi], self.tf_counts[lo:hi]
-
-    def term_frequency(self, term: str, doc_id: int) -> int:
-        slot = self._slots.get(term)
-        row = self._doc_rows.get(doc_id)
-        if slot is None or row is None:
-            return 0
-        rows, tfs = self.posting_slice(slot)
-        at = int(np.searchsorted(rows, row))
-        if at < len(rows) and rows[at] == row:
-            return int(tfs[at])
-        return 0
-
-    def postings(self, term: str) -> Mapping[int, List[int]]:
-        """doc_id -> positions, rebuilt as fresh python containers."""
-        slot = self._slots.get(term)
-        if slot is None:
-            return {}
-        lo = int(self.term_offsets[slot])
-        hi = int(self.term_offsets[slot + 1])
-        doc_ids = self.doc_ids[self.posting_docs[lo:hi].astype(np.int64)].tolist()
-        out: Dict[int, List[int]] = {}
-        for at, doc_id in zip(range(lo, hi), doc_ids):
-            p0 = int(self.position_offsets[at])
-            p1 = int(self.position_offsets[at + 1])
-            out[doc_id] = self.positions[p0:p1].tolist()
-        return out
 
     # -- phrase machinery ------------------------------------------------
 
@@ -181,8 +139,8 @@ class FrozenInvertedIndex:
         """(doc rows, occurrence counts, first start position) per doc.
 
         Documents appear in ascending row order; ``first start`` is the
-        position of the earliest exact occurrence — exactly the anchor
-        :func:`repro.search.snippets.make_snippet` would find.
+        position of the earliest exact occurrence, which anchors the
+        document's snippet window (:class:`repro.search.snippets.SnippetService`).
         """
         self._m_phrase.inc()
         empty = (_EMPTY_I64, _EMPTY_I64, _EMPTY_I64)
@@ -215,47 +173,11 @@ class FrozenInvertedIndex:
         firsts = keys[first_at] - rows * self._stride
         return rows, counts, firsts
 
-    def phrase_postings(self, terms: Sequence[str]) -> Dict[int, int]:
-        """doc_id -> number of exact contiguous occurrences of *terms*."""
-        rows, counts, __ = self.phrase_occurrences(terms)
-        if not rows.size:
-            return {}
-        doc_ids = self.doc_ids[rows].tolist()
-        return dict(zip(doc_ids, counts.tolist()))
-
     def phrase_document_count(self, terms: Sequence[str]) -> int:
         rows, __, __ = self.phrase_occurrences(terms)
         return int(rows.size)
 
     # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_index(cls, index: InvertedIndex) -> "FrozenInvertedIndex":
-        """Freeze a fully built dict index."""
-        doc_items = index.doc_items()
-        doc_ids = np.asarray([doc for doc, __ in doc_items], dtype=np.int64)
-        doc_lengths = np.asarray([length for __, length in doc_items], dtype=np.int64)
-        rows = {int(doc): row for row, doc in enumerate(doc_ids.tolist())}
-        terms = sorted(index.terms())
-        term_offsets = [0]
-        posting_docs: List[int] = []
-        position_offsets = [0]
-        positions: List[int] = []
-        for term in terms:
-            for doc_id, plist in index.postings(term).items():
-                posting_docs.append(rows[doc_id])
-                positions.extend(plist)
-                position_offsets.append(len(positions))
-            term_offsets.append(len(posting_docs))
-        return cls(
-            terms=terms,
-            term_offsets=np.asarray(term_offsets, dtype=np.int64),
-            posting_docs=np.asarray(posting_docs, dtype=np.uint32),
-            position_offsets=np.asarray(position_offsets, dtype=np.int64),
-            positions=np.asarray(positions, dtype=np.uint32),
-            doc_ids=doc_ids,
-            doc_lengths=doc_lengths,
-        )
 
     @classmethod
     def from_token_streams(
@@ -267,12 +189,9 @@ class FrozenInvertedIndex:
         """Build the CSR columns directly from interned token streams.
 
         ``id_arrays[i]`` holds document i's tokens as indices into
-        ``vocab_terms``.  Produces byte-identical columns to
-        ``from_index(InvertedIndex.from_documents(...))`` without ever
-        materialising the dict-of-dicts staging form: one stable sort of
-        the flat (term-rank, doc-row, position) stream yields postings
-        grouped by term and ordered by document row, with positions
-        ascending.
+        ``vocab_terms``.  One stable sort of the flat (term-rank,
+        doc-row, position) stream yields postings grouped by term and
+        ordered by document row, with positions ascending.
         """
         vocab_size = len(vocab_terms)
         sorted_vids = sorted(range(vocab_size), key=vocab_terms.__getitem__)

@@ -12,11 +12,11 @@ Prisma-based relevance mining underperforms snippets.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.search.engine import SearchEngine
-from repro.text.stopwords import is_stopword
 from repro.text.tokenizer import tokenize_lower
 
 
@@ -38,19 +38,38 @@ class PrismaTool:
 
         Term score aggregates, over the top-ranked documents:
         term count, an early-position bonus, and a document-rank decay;
-        query terms themselves are excluded.
+        query terms and stopwords are excluded.  Each result document
+        adds its scores with one masked gather and ``np.add.at`` over
+        its id array in the engine's corpus; ties rank alphabetically.
         """
+        corpus = self._engine.corpus
         query_terms = set(tokenize_lower(query))
         results = self._engine.search(query, limit=self.feedback_documents)
-        scores: Dict[str, float] = defaultdict(float)
+        if not results:
+            return []
+        blocked = corpus.stop_mask.copy()
+        for term in query_terms:
+            vid = corpus.vocabulary.get(term)
+            if vid is not None:
+                blocked[vid] = True
+        scores = np.zeros(len(corpus.terms))
         for rank, result in enumerate(results):
             rank_weight = 1.0 / (1.0 + rank)
-            tokens = self._engine.tokens(result.doc_id)
-            length = max(1, len(tokens))
-            for position, token in enumerate(tokens):
-                if token in query_terms or is_stopword(token):
-                    continue
-                position_bonus = 1.0 + (1.0 - position / length) * 0.5
-                scores[token] += rank_weight * position_bonus
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[: self.feedback_terms]
+            ids = corpus.id_arrays[corpus.doc_row(result.doc_id)]
+            length = max(1, len(ids))
+            keep = ~blocked[ids]
+            kept_ids = ids[keep]
+            if not kept_ids.size:
+                continue
+            positions = np.flatnonzero(keep)
+            # 1.0 + (1.0 - position / length) * 0.5, then * rank_weight,
+            # elementwise in that order.
+            position_bonus = 1.0 + (1.0 - positions / length) * 0.5
+            np.add.at(scores, kept_ids, rank_weight * position_bonus)
+        touched = np.flatnonzero(scores)
+        if not touched.size:
+            return []
+        order = np.lexsort((corpus.term_alpha_rank[touched], -scores[touched]))
+        top = touched[order[: self.feedback_terms]]
+        terms = corpus.terms
+        return [(terms[vid], float(scores[vid])) for vid in top.tolist()]

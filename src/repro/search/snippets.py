@@ -3,44 +3,24 @@
 "These short text strings are constructed from the result pages by the
 engine, and they usually provide a good summary of the target page"
 (Section IV-B).  We produce query-biased snippets: a token window
-centred on the first query match, which is how production engines build
-them and is what gives the relevance miner topically focused text.
+centred on the first phrase occurrence, which is how production engines
+build them and is what gives the relevance miner topically focused text.
+
+A window is a slice of the result document's id array in the engine's
+:class:`~repro.text.corpus.TokenizedCorpus`; the relevance miner counts
+its ids directly, and :meth:`SnippetService.snippets_for_phrase` maps
+them back to text for the LSA sense miner.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
+
+import numpy as np
 
 from repro.search.engine import SearchEngine
+from repro.text.corpus import TokenizedCorpus
 from repro.text.tokenizer import tokenize_lower
-
-
-def _first_match_position(tokens: Sequence[str], terms: Sequence[str]) -> Optional[int]:
-    size = len(terms)
-    if size == 0:
-        return None
-    for start in range(len(tokens) - size + 1):
-        if list(tokens[start : start + size]) == list(terms):
-            return start
-    term_set = set(terms)
-    for position, token in enumerate(tokens):
-        if token in term_set:
-            return position
-    return None
-
-
-def make_snippet(
-    tokens: Sequence[str], query_terms: Sequence[str], window: int = 48
-) -> str:
-    """A ~*window*-token snippet centred on the first query match."""
-    anchor = _first_match_position(tokens, query_terms)
-    if anchor is None:
-        anchor = 0
-    half = window // 2
-    start = max(0, anchor - half)
-    end = min(len(tokens), start + window)
-    start = max(0, end - window)
-    return " ".join(tokens[start:end])
 
 
 class SnippetService:
@@ -55,11 +35,42 @@ class SnippetService:
         self._engine = engine
         self._window = window
 
-    def snippets_for_phrase(self, phrase: str, limit: int = 100) -> List[str]:
-        """Snippets of the top *limit* phrase-query results."""
-        terms = tokenize_lower(phrase)
+    @property
+    def corpus(self) -> TokenizedCorpus:
+        """The corpus the snippet windows index into."""
+        return self._engine.corpus
+
+    def windows(self, phrase: str, limit: int = 100) -> List[np.ndarray]:
+        """Token-id windows of the top *limit* phrase-query results.
+
+        Every result holds the exact phrase, so each window is
+        ``window`` tokens (fewer in a shorter document) around the
+        phrase's first occurrence, shifted to stay inside the document.
+        """
         results = self._engine.phrase_search(phrase, limit=limit)
+        if not results:
+            return []
+        corpus = self._engine.corpus
+        rows, __, firsts = self._engine.frozen.phrase_occurrences(
+            tokenize_lower(phrase)
+        )
+        first_start = dict(zip(rows.tolist(), firsts.tolist()))
+        window = self._window
+        half = window // 2
+        windows = []
+        for result in results:
+            row = corpus.doc_row(result.doc_id)
+            ids = corpus.id_arrays[row]
+            start = max(0, first_start[row] - half)
+            end = min(len(ids), start + window)
+            start = max(0, end - window)
+            windows.append(ids[start:end])
+        return windows
+
+    def snippets_for_phrase(self, phrase: str, limit: int = 100) -> List[str]:
+        """Snippets of the top *limit* phrase-query results, as text."""
+        terms = self._engine.corpus.terms
         return [
-            make_snippet(self._engine.tokens(result.doc_id), terms, self._window)
-            for result in results
+            " ".join([terms[vid] for vid in ids.tolist()])
+            for ids in self.windows(phrase, limit)
         ]

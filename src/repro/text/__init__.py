@@ -2,21 +2,20 @@
 
 Everything the Contextual Shortcuts pipeline needs before entity
 detection can run: HTML stripping, tokenization with sentence and
-paragraph boundaries, Porter stemming, stopword filtering, and tf*idf
-vectorization.  All implemented from scratch; no external NLP
-dependencies.
+paragraph boundaries, Porter stemming, stopword filtering, tf*idf
+vectorization, and the tokenized corpus the offline build indexes and
+mines.  All implemented from scratch; no external NLP dependencies.
 """
 
 from repro.text.html import strip_html
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS, is_stopword
+from repro.text.corpus import TokenizedCorpus
 from repro.text.tokenized import TokenizedDocument
 from repro.text.tokenizer import (
-    Token,
     paragraphs,
     reset_tokenize_call_count,
     sentences,
-    tokenize,
     tokenize_call_count,
     tokenize_lower,
 )
@@ -32,9 +31,8 @@ __all__ = [
     "stem",
     "STOPWORDS",
     "is_stopword",
-    "Token",
+    "TokenizedCorpus",
     "TokenizedDocument",
-    "tokenize",
     "tokenize_call_count",
     "reset_tokenize_call_count",
     "tokenize_lower",

@@ -3,20 +3,18 @@
 The production hot path (paper Section VI) runs a document through the
 stemmer, three detectors, the concept-vector scorer, and the relevance
 context lookup.  Each of those consumes some view of the same token
-stream — raw tokens with offsets, lower-cased words, or stemmed
+stream — lower-cased words with character offsets, or stemmed
 stopword-free terms.  ``TokenizedDocument`` computes each view lazily,
 at most once, and caches it, so the whole service pays for one
 tokenization pass and one stemming pass per document instead of one per
 stage.
 
-The word views (``words``/``word_starts``/``word_ends``) come from the
-tokenizer's :func:`~repro.text.tokenizer.word_spans` fast path, which
-never materializes :class:`~repro.text.tokenizer.Token` objects; the
-full ``tokens`` view is built only if a consumer actually asks for it.
-The compiled detection kernels additionally share one interned
-token-id view per document (:meth:`token_ids` / :meth:`token_id_array`),
-cached against the kernel's interner so the stemmer table, both
-automata, and the concept-vector scorer intern each document once.
+The word views (``words``/``word_starts``/``word_ends``) come from one
+:func:`~repro.text.tokenizer.word_spans` call.  The compiled detection
+kernels additionally share one interned token-id view per document
+(:meth:`token_ids` / :meth:`token_id_array`), cached against the
+kernel's interner so the stemmer table, both automata, and the
+concept-vector scorer intern each document once.
 
 Every string-based entry point in the pipeline remains available as a
 thin wrapper that builds a private ``TokenizedDocument``, so callers
@@ -29,7 +27,7 @@ from typing import List, Optional, Set, Union
 
 from repro.text.stemmer import stem
 from repro.text.stopwords import is_stopword
-from repro.text.tokenizer import Token, tokenize, word_spans
+from repro.text.tokenizer import word_spans
 
 
 class TokenizedDocument:
@@ -37,10 +35,8 @@ class TokenizedDocument:
 
     The views mirror the seed's per-stage computations exactly:
 
-    * ``tokens``        -- ``tokenize(text)``
-    * ``word_tokens``   -- word tokens only (offsets kept for spans)
     * ``words``         -- ``tokenize_lower(text)``
-    * ``word_starts``/``word_ends`` -- the word tokens' char spans
+    * ``word_starts``/``word_ends`` -- the words' char spans
     * ``stemmed_terms`` -- ``features.relevance.stemmed_terms(text)``
     * ``stem_set``      -- the relevance scorer's context set
     * ``token_ids``     -- interned ids against a kernel's interner
@@ -50,8 +46,6 @@ class TokenizedDocument:
 
     __slots__ = (
         "text",
-        "_tokens",
-        "_word_tokens",
         "_words",
         "_word_starts",
         "_word_ends",
@@ -66,8 +60,6 @@ class TokenizedDocument:
 
     def __init__(self, text: str):
         self.text = text
-        self._tokens: Optional[List[Token]] = None
-        self._word_tokens: Optional[List[Token]] = None
         self._words: Optional[List[str]] = None
         self._word_starts: Optional[List[int]] = None
         self._word_ends: Optional[List[int]] = None
@@ -90,31 +82,9 @@ class TokenizedDocument:
             return source
         return cls(source)
 
-    @property
-    def tokens(self) -> List[Token]:
-        """All tokens with character offsets (one tokenizer pass, ever)."""
-        if self._tokens is None:
-            self._tokens = tokenize(self.text)
-        return self._tokens
-
-    @property
-    def word_tokens(self) -> List[Token]:
-        """Word tokens only, offsets preserved (the Token-object view)."""
-        if self._word_tokens is None:
-            self._word_tokens = [t for t in self.tokens if t.is_word()]
-        return self._word_tokens
-
     def _ensure_words(self) -> None:
-        if self._words is not None:
-            return
-        if self._tokens is not None:
-            # the Token view already exists: derive, don't re-tokenize
-            word_tokens = self.word_tokens
-            self._words = [t.lower for t in word_tokens]
-            self._word_starts = [t.start for t in word_tokens]
-            self._word_ends = [t.end for t in word_tokens]
-            return
-        self._words, self._word_starts, self._word_ends = word_spans(self.text)
+        if self._words is None:
+            self._words, self._word_starts, self._word_ends = word_spans(self.text)
 
     @property
     def words(self) -> List[str]:

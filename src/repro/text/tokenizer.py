@@ -4,10 +4,14 @@ The Contextual Shortcuts pre-processing stage (paper Section II) performs
 "HTML parsing, tokenization, sentence, and paragraph boundary detection".
 This module supplies the tokenization and boundary-detection pieces.
 
-Tokens carry character offsets into the original text so that detected
-entities can later be annotated in place (the paper's "output annotation"
-step) and so that documents can be partitioned into character windows
-(Section V-A.1) without losing token alignment.
+There is one word pass.  :func:`tokenize_lower` returns a text's
+lower-cased word tokens and :func:`word_spans` adds their character
+offsets, so detected entities can later be annotated in place (the
+paper's "output annotation" step) and documents partitioned into
+character windows (Section V-A.1) without losing token alignment.  ASCII
+text is split on a byte mask; other text runs `_TOKEN_RE`, whose word
+branch defines a word token (``tests/reference.py`` keeps the seed's
+regex ``tokenize`` that both are held equal to).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from dataclasses import dataclass
 from typing import Iterator, List, Union
 
 import numpy as np
@@ -49,22 +52,23 @@ _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9\"'(])")
 _PARAGRAPH_BOUNDARY_RE = re.compile(r"\n\s*\n")
 
 # Invocation counter for the hot-path benchmarks: the single-pass
-# refactor is judged by how many times `tokenize` runs per document, so
-# the count must be observable from outside the module.  The counter
-# itself is an `itertools.count` — a single atomic `next()` on the hot
-# path, so `tokenize` never takes a lock and concurrent `process_batch`
-# workers cannot lose increments.  Readers subtract the draws the
-# accessor functions themselves consume (each read/reset burns one tick)
-# plus the baseline recorded at the last reset; that bookkeeping is
-# mutated under `_COUNTER_LOCK` since reads are not performance-critical.
+# refactor is judged by how many word passes (`word_spans` or
+# `tokenize_lower` calls) run per document, so the count must be
+# observable from outside the module.  The counter itself is an
+# `itertools.count` — a single atomic `next()` on the hot path, so a
+# word pass never takes a lock and concurrent callers cannot lose
+# increments.  Readers subtract the draws the accessor functions
+# themselves consume (each read/reset burns one tick) plus the baseline
+# recorded at the last reset; that bookkeeping is mutated under
+# `_COUNTER_LOCK` since reads are not performance-critical.
 _counter = itertools.count()
 _COUNTER_LOCK = threading.Lock()
-_counter_overhead = 0  # ticks consumed by read/reset calls, not tokenize
-_counter_base = 0  # tokenize ticks already counted at the last reset
+_counter_overhead = 0  # ticks consumed by read/reset calls, not word passes
+_counter_base = 0  # word-pass ticks already counted at the last reset
 
 
 def tokenize_call_count() -> int:
-    """Number of `tokenize` invocations since the last reset."""
+    """Number of word passes since the last reset."""
     global _counter_overhead
     with _COUNTER_LOCK:
         drawn = next(_counter)
@@ -89,37 +93,6 @@ _ABBREVIATIONS = frozenset(
         "vs", "etc", "e.g", "i.e", "u.s", "u.k", "no", "dept",
     }
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    """A token with its character span in the source text."""
-
-    text: str
-    start: int
-    end: int
-
-    @property
-    def lower(self) -> str:
-        """Lower-cased token text."""
-        return self.text.lower()
-
-    def is_word(self) -> bool:
-        """True if the token starts with a letter (not punctuation/number)."""
-        return self.text[:1].isalpha()
-
-
-def tokenize(text: str) -> List[Token]:
-    """Split *text* into tokens, keeping character offsets.
-
-    >>> [t.text for t in tokenize("Sen. Clinton, who argued...")]
-    ['Sen', '.', 'Clinton', ',', 'who', 'argued', '.', '.', '.']
-    """
-    next(_counter)
-    return [
-        Token(match.group(), match.start(), match.end())
-        for match in _TOKEN_RE.finditer(text)
-    ]
 
 
 def _word_mask(text: str) -> Union[bytes, bytearray]:
@@ -158,14 +131,12 @@ def _word_mask(text: str) -> Union[bytes, bytearray]:
 
 
 def word_spans(text: str):
-    """``(words, starts, ends)`` for word tokens only.
+    """``(words, starts, ends)``: :func:`tokenize_lower` plus each word's
+    character span.
 
-    The words are exactly ``tokenize_lower(text)`` and the offsets are
-    exactly the word tokens' ``start``/``end`` spans, but no
-    :class:`Token` objects are materialized — this is the single-pass
-    hot path's tokenization: the lists feed the shared
+    This is the serving path's word pass: the lists feed the shared
     ``TokenizedDocument`` views and the compiled detection kernels.
-    Counts as one ``tokenize`` invocation.
+    Counts as one word pass.
     """
     next(_counter)
     if not text.isascii():
@@ -189,22 +160,15 @@ def word_spans(text: str):
 
 
 def tokenize_lower(text: str) -> List[str]:
-    """Lower-cased word tokens only (punctuation dropped).
+    """Lower-cased word tokens only (punctuation and numbers dropped).
 
-    This is the normalization used throughout feature extraction: the
-    paper lower-cases all terms and strips surrounding punctuation.
-    """
-    return [token.lower for token in tokenize(text) if token.is_word()]
-
-
-def words_lower(text: str) -> List[str]:
-    """Exactly `tokenize_lower`, without materializing Token objects.
-
-    ASCII text is split on the word mask, as in `word_spans`.  For other
-    text, `_TOKEN_RE` has only non-capturing groups, so ``findall``
-    yields the same full-match strings `tokenize` wraps; the word filter
-    and lower-casing are the same expressions `Token` applies.  This is
-    the offline-build hot path, where character offsets are never needed.
+    This is the normalization used throughout feature extraction and
+    the offline build: the paper lower-cases all terms and strips
+    surrounding punctuation.  ASCII text is split on the word mask, as
+    in :func:`word_spans`.  For other text, `_TOKEN_RE` has only
+    non-capturing groups, so ``findall`` yields its full-match tokens,
+    and a word token is one that starts with a letter.  Counts as one
+    word pass.
     """
     next(_counter)
     if text.isascii():

@@ -95,10 +95,16 @@ def env_stories(env_world):
 
 
 @pytest.fixture(scope="session")
-def env_stemmed_df(env_world):
-    from repro.features import build_stemmed_df
+def env_stemmed_df(env_engine):
+    return env_engine.corpus.stemmed_df()
 
-    return build_stemmed_df(doc.text for doc in env_world.web_corpus)
+
+@pytest.fixture(scope="session")
+def env_reference(env_world):
+    """The seed engine and miners over the web corpus (tests/reference.py)."""
+    from tests.reference import ReferenceEngine
+
+    return ReferenceEngine((page.doc_id, page.text) for page in env_world.web_corpus)
 
 
 @pytest.fixture(scope="session")

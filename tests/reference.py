@@ -1,9 +1,18 @@
-"""Seed-era reference implementations the compiled paths are checked against.
+"""Seed-era reference implementations the production paths are checked against.
 
-The runtime has one implementation of each component: the compiled
+The program has one implementation of each component: the compiled
 detection kernel matches phrases, stems, counts terms and segments
-units.  These small, obviously-correct versions of the seed behaviour
-exist only so the tests can cross-check the kernel against them:
+units; the search engine, the keyword miners and the stemmed df run on
+a tokenized corpus's id arrays.  These small, obviously-correct versions
+of the seed behaviour exist only so the tests can cross-check the
+production paths against them:
+
+* :func:`tokenize` / :func:`tokenize_lower` — the seed's regex
+  tokenizer, with :class:`Token` offsets;
+* :class:`ReferenceEngine` — phrase counts, BM25 and result counts by
+  scanning token lists, with the seed's Prisma loop, snippet windows
+  (:func:`make_snippet`) and string tf*idf keyword mining;
+* :func:`stemmed_df` — the per-document stemmed df table;
 
 * :func:`seed_matcher_find` — the seed phrase matcher (first-term
   candidate lists, longest-first, resume past each match);
@@ -18,13 +27,231 @@ exist only so the tests can cross-check the kernel against them:
   and one symbol at a time, and the state a phrase walks to.
 """
 
+import math
+import re
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.detection.kernel import phrase_inventory
-from repro.text import tokenize
+from repro.text.stemmer import stem
 from repro.text.stopwords import is_stopword
-from repro.text.vectorize import TermVector
+from repro.text.vectorize import DocumentFrequencyTable, TermVector
+
+_TOKEN_RE = re.compile(
+    r"""
+    [A-Za-z]+(?:'[A-Za-z]+)?   # words, with internal apostrophe (don't, O'Brien)
+    | \d+(?:[.,]\d+)*          # numbers, incl. 1,234.5
+    | \S                       # any other single non-space char (punctuation)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    """A token with its character span in the source text."""
+
+    text: str
+    start: int
+    end: int
+
+    @property
+    def lower(self) -> str:
+        return self.text.lower()
+
+    def is_word(self) -> bool:
+        """True if the token starts with a letter (not punctuation/number)."""
+        return self.text[:1].isalpha()
+
+
+def tokenize(text: str) -> List[Token]:
+    """The seed tokenizer: every `_TOKEN_RE` match, with offsets."""
+    return [
+        Token(match.group(), match.start(), match.end())
+        for match in _TOKEN_RE.finditer(text)
+    ]
+
+
+def tokenize_lower(text: str) -> List[str]:
+    """Lower-cased word tokens of the seed tokenizer."""
+    return [token.lower for token in tokenize(text) if token.is_word()]
+
+
+def stemmed_terms(text: str) -> List[str]:
+    return [stem(word) for word in tokenize_lower(text) if not is_stopword(word)]
+
+
+def stemmed_df(texts) -> DocumentFrequencyTable:
+    """The seed's stemmed df: one ``add_document`` per text."""
+    table = DocumentFrequencyTable()
+    for text in texts:
+        table.add_document(stemmed_terms(text))
+    return table
+
+
+def make_snippet(tokens: Sequence[str], query_terms: Sequence[str], window: int = 48) -> str:
+    """The seed snippet: ~*window* tokens centred on the first exact
+    match of *query_terms*, else on the first query term, else at 0."""
+    size = len(query_terms)
+    anchor = None
+    if size:
+        for start in range(len(tokens) - size + 1):
+            if list(tokens[start : start + size]) == list(query_terms):
+                anchor = start
+                break
+        if anchor is None:
+            term_set = set(query_terms)
+            anchor = next(
+                (at for at, token in enumerate(tokens) if token in term_set), None
+            )
+    if anchor is None:
+        anchor = 0
+    half = window // 2
+    start = max(0, anchor - half)
+    end = min(len(tokens), start + window)
+    start = max(0, end - window)
+    return " ".join(tokens[start:end])
+
+
+def top_terms(scores: Dict[str, float], keyword_count: int):
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(ranked[:keyword_count])
+
+
+def tf_idf_keywords(phrase: str, document: str, df, keyword_count: int = 100):
+    """The seed miner's tf*idf over one bag-of-words *document*."""
+    concept = set(stemmed_terms(phrase))
+    counts: Dict[str, int] = {}
+    for term in stemmed_terms(document):
+        if term not in concept:
+            counts[term] = counts.get(term, 0) + 1
+    return top_terms(
+        {term: count * df.raw_idf(term) for term, count in counts.items()},
+        keyword_count,
+    )
+
+
+def suggestion_keywords(phrase: str, suggestions, df, keyword_count: int = 100):
+    """The seed miner's sum_k ln(freq_k) * idf over query suggestions."""
+    concept = set(stemmed_terms(phrase))
+    scores: Dict[str, float] = {}
+    for suggestion, frequency in suggestions.suggest(phrase):
+        log_freq = math.log(max(2, frequency))
+        for term in set(stemmed_terms(suggestion)):
+            if term not in concept:
+                scores[term] = scores.get(term, 0.0) + log_freq
+    return top_terms(
+        {term: value * df.raw_idf(term) for term, value in scores.items()},
+        keyword_count,
+    )
+
+
+class ReferenceEngine:
+    """The seed search engine and miners, scanning token lists.
+
+    *documents* are ``(doc_id, text)`` pairs, tokenized by the seed
+    tokenizer.  Results are ``(doc_id, score)`` pairs in
+    ``(-score, doc_id)`` order.
+    """
+
+    def __init__(self, documents, k1: float = 1.2, b: float = 0.75):
+        self.tokens = {doc_id: tokenize_lower(text) for doc_id, text in documents}
+        self.k1 = k1
+        self.b = b
+        count = len(self.tokens)
+        total = sum(len(tokens) for tokens in self.tokens.values())
+        self.average_length = total / count if count else 0.0
+
+    def idf(self, term: str) -> float:
+        n = len(self.tokens)
+        df = sum(1 for tokens in self.tokens.values() if term in tokens)
+        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+    def phrase_counts(self, terms: Sequence[str]) -> Dict[int, int]:
+        """doc_id -> exact, possibly overlapping, occurrences of *terms*."""
+        terms = list(terms)
+        size = len(terms)
+        counts = {}
+        for doc_id, tokens in self.tokens.items():
+            count = sum(
+                1
+                for start in range(len(tokens) - size + 1)
+                if tokens[start : start + size] == terms
+            )
+            if size and count:
+                counts[doc_id] = count
+        return counts
+
+    @staticmethod
+    def _ranked(scored, limit):
+        return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:limit]
+
+    def search(self, query: str, limit: int = 10):
+        terms = set(tokenize_lower(query))
+        idf = {term: self.idf(term) for term in terms}
+        avg_len = self.average_length or 1.0
+        scored = []
+        for doc_id, tokens in self.tokens.items():
+            if not terms & set(tokens):
+                continue
+            length_norm = 1 - self.b + self.b * len(tokens) / avg_len
+            score = 0.0
+            for term in terms:
+                tf = tokens.count(term)
+                if tf:
+                    score += (
+                        idf[term] * tf * (self.k1 + 1) / (tf + self.k1 * length_norm)
+                    )
+            scored.append((doc_id, score))
+        return self._ranked(scored, limit)
+
+    def phrase_search(self, phrase: str, limit: int = 10):
+        terms = tokenize_lower(phrase)
+        idf = sum(self.idf(term) for term in terms)
+        return self._ranked(
+            [(doc_id, count * idf) for doc_id, count in self.phrase_counts(terms).items()],
+            limit,
+        )
+
+    def phrase_result_count(self, phrase: str) -> int:
+        return len(self.phrase_counts(tokenize_lower(phrase)))
+
+    def result_count(self, query: str) -> int:
+        terms = set(tokenize_lower(query))
+        return sum(1 for tokens in self.tokens.values() if terms & set(tokens))
+
+    def feedback(self, query: str, documents: int = 50, terms: int = 20):
+        """The seed Prisma loop over the top *documents* results."""
+        query_terms = set(tokenize_lower(query))
+        scores: Dict[str, float] = {}
+        for rank, (doc_id, __) in enumerate(self.search(query, limit=documents)):
+            rank_weight = 1.0 / (1.0 + rank)
+            tokens = self.tokens[doc_id]
+            length = max(1, len(tokens))
+            for position, token in enumerate(tokens):
+                if token in query_terms or is_stopword(token):
+                    continue
+                position_bonus = 1.0 + (1.0 - position / length) * 0.5
+                scores[token] = scores.get(token, 0.0) + rank_weight * position_bonus
+        return list(top_terms(scores, terms))
+
+    def snippets(self, phrase: str, window: int = 48, limit: int = 100):
+        terms = tokenize_lower(phrase)
+        return [
+            make_snippet(self.tokens[doc_id], terms, window)
+            for doc_id, __ in self.phrase_search(phrase, limit)
+        ]
+
+    def mine(self, phrase, resource, df, suggestions, window=48, keyword_count=100):
+        """``RelevantKeywordMiner.mine`` as the seed computed it."""
+        if resource == "snippets":
+            document = " ".join(self.snippets(phrase, window))
+        elif resource == "prisma":
+            document = " ".join(term for term, __ in self.feedback(phrase))
+        else:
+            return suggestion_keywords(phrase, suggestions, df, keyword_count)
+        return tf_idf_keywords(phrase, document, df, keyword_count)
 
 
 def seed_matcher_find(phrases, text):

@@ -9,7 +9,6 @@ from repro.features import (
     RESOURCES,
     RelevanceModel,
     RelevanceScorer,
-    build_stemmed_df,
     stemmed_terms,
 )
 from repro.features.quantize import dequantize, quantize

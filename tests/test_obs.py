@@ -747,9 +747,9 @@ class TestSearchCounters:
 
         previous = set_registry(MetricsRegistry())
         try:
-            engine = SearchEngine()
-            engine.add_document(1, "alpha beta gamma")
-            engine.add_document(2, "beta gamma delta")
+            engine = SearchEngine.from_corpus(
+                [(1, "alpha beta gamma"), (2, "beta gamma delta")]
+            )
             engine.search("beta")
             engine.search("gamma delta")
             engine.phrase_search("beta gamma")

@@ -13,9 +13,9 @@ import pytest
 from repro.features import RelevanceModel
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.explain import (
-    ExplainableRanker,
     FeatureContribution,
     RankExplanation,
+    explain_document,
     feature_group_of,
 )
 from repro.ranking import RankSVM
@@ -188,7 +188,7 @@ class TestExplainableRanker:
     def test_direct_ranker_matches_concept_ranker(
         self, serving, env_stories, env_pipeline
     ):
-        """ExplainableRanker standalone reproduces ConceptRanker exactly."""
+        """explain_document reproduces ConceptRanker.rank_document exactly."""
         from repro.ranking.model import ConceptRanker
 
         __, interestingness, relevance, svm = serving
@@ -196,7 +196,6 @@ class TestExplainableRanker:
             extractor=interestingness, relevance_scorer=relevance
         )
         plain = ConceptRanker(assembler, svm)
-        explaining = ExplainableRanker(assembler, svm)
         annotated = env_pipeline.process(env_stories[1].text)
         known = [
             d for d in annotated.rankable() if d.phrase in interestingness
@@ -205,7 +204,7 @@ class TestExplainableRanker:
 
         pruned = AnnotatedDocument(text=annotated.text, detections=known)
         expected = plain.rank_document(pruned)
-        ranked, explanations = explaining.explain_document(pruned)
+        ranked, explanations = explain_document(plain, pruned)
         assert [(d.phrase, d.score) for d in expected] == [
             (d.phrase, d.score) for d in ranked
         ]

@@ -1,15 +1,17 @@
-"""OfflineBuilder: stage DAG, pinned pack bytes, vectorized miners."""
+"""OfflineBuilder: stage DAG, pinned pack bytes; the miners against
+the seed references."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.features.relevance import (
     RESOURCES,
     RelevanceModel,
     RelevantKeywordMiner,
-    build_stemmed_df,
 )
 from repro.offline.builder import (
     INTERESTINGNESS_PACK,
@@ -18,14 +20,14 @@ from repro.offline.builder import (
     BuildConfig,
     OfflineBuilder,
 )
-from repro.offline.corpus import TokenizedCorpus
-from repro.offline.mining import VectorizedKeywordMiner, VectorizedPrismaTool
 from repro.querylog.log import QueryLog
 from repro.runtime.datapack import load_interestingness_store, load_relevance_store
 from repro.search.engine import SearchEngine
 from repro.search.prisma import PrismaTool
 from repro.search.snippets import SnippetService
 from repro.search.suggestions import SuggestionService
+from tests.reference import ReferenceEngine, stemmed_df
+from tests.test_frozen_index import WORDS, documents
 
 VOCAB = [
     "cuba", "fidel", "castro", "talks", "election", "embargo", "trade",
@@ -162,81 +164,113 @@ class TestBuilder:
             assert relevance.packed(phrase).size > 0
 
 
-def seed_engine(documents):
-    engine = SearchEngine()
-    for doc_id, text in documents:
-        engine.add_document(doc_id, text)
-    return engine
+def production_miner(documents, query_log, window=48):
+    """The build's miner over *documents*, as ``OfflineBuilder`` wires it."""
+    engine = SearchEngine.from_corpus(documents)
+    return RelevantKeywordMiner(
+        SnippetService(engine, window=window),
+        PrismaTool(engine),
+        SuggestionService(query_log),
+        engine.corpus.stemmed_df(),
+    )
+
+
+def check_df(produced, df):
+    assert produced.total_documents == df.total_documents
+    assert sorted(produced.terms()) == sorted(df.terms())
+    for term in df.terms():
+        assert produced.document_frequency(term) == df.document_frequency(term)
+
+
+def check_miner(miner, prisma, reference, df, suggestions, phrases, window=48):
+    """Feedback, the stemmed df and all three resources' keywords equal
+    the seed references (*reference*, *df*), floats bit for bit."""
+    check_df(miner._df, df)
+    for phrase in phrases:
+        assert prisma.feedback(phrase) == reference.feedback(phrase)
+        for resource in RESOURCES:
+            assert miner.mine(phrase, resource) == reference.mine(
+                phrase, resource, df, suggestions, window
+            ), (resource, phrase)
+
+
+def check_documents(documents, query_log, phrases, window=48):
+    miner = production_miner(documents, query_log, window)
+    check_miner(
+        miner,
+        miner._prisma,
+        ReferenceEngine(documents),
+        stemmed_df(text for __, text in documents),
+        SuggestionService(query_log),
+        phrases,
+        window,
+    )
+
+
+phrases = st.lists(
+    st.lists(st.sampled_from(WORDS + ["unseen"]), min_size=1, max_size=2).map(
+        " ".join
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 @pytest.fixture(scope="module")
-def miners(world):
-    documents, query_log = world
-    suggestions = SuggestionService(query_log)
-    engine = seed_engine(documents)
-    seed_df = build_stemmed_df(text for __, text in documents)
-    seed = RelevantKeywordMiner(
-        SnippetService(engine), PrismaTool(engine), suggestions, seed_df
-    )
-    corpus = TokenizedCorpus(documents)
-    fast = VectorizedKeywordMiner(
-        corpus, corpus.engine(), suggestions, corpus.stemmed_df()
-    )
-    return seed, fast
+def miner(world):
+    return production_miner(*world)
 
 
 class TestVectorizedMiners:
-    def test_all_resources_match_seed(self, miners):
-        seed, fast = miners
-        for resource in RESOURCES:
-            for phrase in CONCEPTS:
-                assert seed.mine(phrase, resource) == fast.mine(phrase, resource), (
-                    resource,
-                    phrase,
-                )
+    """The id-array miners and the stemmed df against the seed's string
+    versions (tests/reference.py), floats bit for bit."""
+
+    @given(
+        documents,
+        phrases,
+        st.dictionaries(phrases.map(" ".join), st.integers(1, 40), max_size=6),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_all_resources_match_seed(self, docs, concepts, queries, window):
+        check_documents(docs, QueryLog.from_strings(queries), concepts, window)
 
     def test_prisma_tool_matches_seed(self, world):
-        documents, __ = world
-        engine = seed_engine(documents)
-        corpus = TokenizedCorpus(documents)
-        fast = VectorizedPrismaTool(corpus.engine(), corpus)
-        slow = PrismaTool(engine)
-        for query in CONCEPTS + ["cuba", "unseenword"]:
-            assert slow.feedback(query) == fast.feedback(query)
-
-    def test_stemmed_df_matches_seed(self, world):
-        documents, __ = world
-        seed_df = build_stemmed_df(text for __, text in documents)
-        fast_df = TokenizedCorpus(documents).stemmed_df()
-        assert fast_df.total_documents == seed_df.total_documents
-        for term in VOCAB + ["talk", "unseen"]:
-            assert fast_df.document_frequency(term) == seed_df.document_frequency(term)
-
-    def test_frozen_engine_required(self, world):
         documents, query_log = world
-        corpus = TokenizedCorpus(documents)
-        with pytest.raises(ValueError):
-            VectorizedKeywordMiner(
-                corpus,
-                seed_engine(documents),  # not frozen
-                SuggestionService(query_log),
-                corpus.stemmed_df(),
-            )
+        check_documents(documents, query_log, CONCEPTS + ["cuba", "unseenword"])
 
-    def test_mine_many_parallel_matches_serial(self, miners):
-        seed, __ = miners
+    @given(documents)
+    @settings(max_examples=100, deadline=None)
+    def test_stemmed_df_matches_seed(self, docs):
+        check_df(
+            SearchEngine.from_corpus(docs).corpus.stemmed_df(),
+            stemmed_df(text for __, text in docs),
+        )
+
+    def test_tests_world_matches_seed(
+        self, env_world, env_miner, env_prisma, env_suggestions, env_reference
+    ):
+        """A sample of the session world's concepts, at full size."""
+        check_miner(
+            env_miner,
+            env_prisma,
+            env_reference,
+            stemmed_df(page.text for page in env_world.web_corpus),
+            env_suggestions,
+            [concept.phrase for concept in env_world.concepts[::22]],
+        )
+
+    def test_mine_many_parallel_matches_serial(self, miner):
         serial = {
-            resource: {phrase: seed.mine(phrase, resource) for phrase in CONCEPTS}
+            resource: {phrase: miner.mine(phrase, resource) for phrase in CONCEPTS}
             for resource in RESOURCES
         }
-        fanned = seed.mine_many(CONCEPTS, RESOURCES, workers=2, chunk_size=2)
+        fanned = miner.mine_many(CONCEPTS, RESOURCES, workers=2, chunk_size=2)
         assert fanned == serial
 
-    def test_mine_all_workers_match(self, miners):
-        __, fast = miners
-        one = RelevanceModel.mine_all(fast, CONCEPTS, workers=1)
-        many = RelevanceModel.mine_all(fast, CONCEPTS, workers=3)
+    def test_mine_all_workers_match(self, miner):
+        one = RelevanceModel.mine_all(miner, CONCEPTS, workers=1)
+        many = RelevanceModel.mine_all(miner, CONCEPTS, workers=3)
         assert one.phrases() == many.phrases()
         for phrase in one.phrases():
             assert one.relevant_terms(phrase) == many.relevant_terms(phrase)
-

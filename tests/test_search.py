@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from repro.corpus import SyntheticWorld, WorldConfig
 from repro.querylog import QueryLog, query_log_for_world
-from repro.search import (
-    InvertedIndex,
-    PrismaTool,
-    SearchEngine,
-    SnippetService,
-    SuggestionService,
-    make_snippet,
-)
+from repro.search import PrismaTool, SearchEngine, SnippetService, SuggestionService
+from tests.reference import ReferenceEngine, make_snippet
 
 TINY_WORLD = WorldConfig(
     seed=9,
@@ -36,62 +30,65 @@ def engine(world):
     return SearchEngine.from_corpus(world.web_corpus)
 
 
+def phrase_counts(engine, terms):
+    """doc_id -> exact occurrences of *terms*, from the CSR index."""
+    frozen = engine.frozen
+    rows, counts, __ = frozen.phrase_occurrences(terms)
+    return dict(zip(frozen.doc_ids[rows].tolist(), counts.tolist()))
+
+
 class TestInvertedIndex:
     def build(self):
-        index = InvertedIndex()
-        index.add_document(0, ["the", "global", "warming", "debate"])
-        index.add_document(1, ["global", "markets", "and", "global", "warming"])
-        index.add_document(2, ["weather", "report"])
-        return index
+        return SearchEngine.from_corpus(
+            [
+                (0, "the global warming debate"),
+                (1, "global markets and global warming"),
+                (2, "weather report"),
+            ]
+        )
 
     def test_document_stats(self):
-        index = self.build()
-        assert index.document_count == 3
-        assert index.doc_length(0) == 4
-        assert index.average_document_length == pytest.approx((4 + 5 + 2) / 3)
+        engine = self.build()
+        assert engine.document_count == 3
+        assert engine.frozen.doc_lengths.tolist() == [4, 5, 2]
+        assert engine.frozen.average_document_length == pytest.approx((4 + 5 + 2) / 3)
 
     def test_duplicate_doc_id_rejected(self):
-        index = self.build()
         with pytest.raises(ValueError):
-            index.add_document(0, ["x"])
+            SearchEngine.from_corpus([(0, "x"), (0, "y")])
 
     def test_document_frequency(self):
-        index = self.build()
-        assert index.document_frequency("global") == 2
-        assert index.document_frequency("weather") == 1
-        assert index.document_frequency("nope") == 0
+        frozen = self.build().frozen
+        assert frozen.document_frequency("global") == 2
+        assert frozen.document_frequency("weather") == 1
+        assert frozen.document_frequency("nope") == 0
 
     def test_term_frequency(self):
-        index = self.build()
-        assert index.term_frequency("global", 1) == 2
-        assert index.term_frequency("global", 2) == 0
+        frozen = self.build().frozen
+        rows, tfs = frozen.posting_slice(frozen.slot("global"))
+        assert dict(zip(frozen.doc_ids[rows].tolist(), tfs.tolist())) == {0: 1, 1: 2}
 
     def test_phrase_postings(self):
-        index = self.build()
-        matches = index.phrase_postings(["global", "warming"])
-        assert matches == {0: 1, 1: 1}
+        assert phrase_counts(self.build(), ["global", "warming"]) == {0: 1, 1: 1}
 
     def test_phrase_postings_respects_order(self):
-        index = self.build()
-        assert index.phrase_postings(["warming", "global"]) == {}
+        assert phrase_counts(self.build(), ["warming", "global"]) == {}
 
     def test_phrase_postings_counts_multiple(self):
-        index = InvertedIndex()
-        index.add_document(0, ["a", "b", "a", "b"])
-        assert index.phrase_postings(["a", "b"]) == {0: 2}
+        engine = SearchEngine.from_corpus([(0, "a b a b")])
+        assert phrase_counts(engine, ["a", "b"]) == {0: 2}
 
     def test_phrase_single_term(self):
-        index = self.build()
-        assert index.phrase_postings(["global"]) == {0: 1, 1: 2}
+        assert phrase_counts(self.build(), ["global"]) == {0: 1, 1: 2}
 
     def test_phrase_empty(self):
-        assert self.build().phrase_postings([]) == {}
+        assert phrase_counts(self.build(), []) == {}
 
     def test_phrase_unseen_term(self):
-        assert self.build().phrase_postings(["global", "zzz"]) == {}
+        assert phrase_counts(self.build(), ["global", "zzz"]) == {}
 
     def test_phrase_document_count(self):
-        assert self.build().phrase_document_count(["global", "warming"]) == 2
+        assert self.build().phrase_result_count("global warming") == 2
 
 
 class TestSearchEngine:
@@ -151,26 +148,42 @@ class TestSearchEngine:
         assert mean_general > mean_specific
 
 
+def letter_words(count):
+    """*count* distinct letter-only words (digits are not word tokens)."""
+    return ["w" + chr(97 + i // 26) + chr(97 + i % 26) for i in range(count)]
+
+
+def snippet_of(tokens, phrase, window):
+    """SnippetService's one snippet over a one-document corpus."""
+    engine = SearchEngine.from_corpus([(0, " ".join(tokens))])
+    snippets = SnippetService(engine, window=window).snippets_for_phrase(phrase)
+    assert snippets == [make_snippet(tokens, phrase.split(), window)]
+    return snippets[0]
+
+
 class TestSnippets:
     def test_window_centred_on_phrase(self):
-        tokens = ["w%d" % i for i in range(100)]
+        tokens = letter_words(100)
         tokens[50:52] = ["target", "phrase"]
-        snippet = make_snippet(tokens, ["target", "phrase"], window=10)
+        snippet = snippet_of(tokens, "target phrase", window=10)
         assert "target phrase" in snippet
         assert len(snippet.split()) == 10
+        assert snippet.split()[5:7] == ["target", "phrase"]
 
     def test_fallback_to_any_term(self):
+        # the seed anchored a result without the exact phrase on any
+        # query term; phrase-query results always hold the phrase
         tokens = ["a", "b", "target", "c"]
-        snippet = make_snippet(tokens, ["target", "missing"], window=4)
-        assert "target" in snippet
+        assert "target" in make_snippet(tokens, ["target", "missing"], window=4)
+        engine = SearchEngine.from_corpus([(0, " ".join(tokens))])
+        assert SnippetService(engine).snippets_for_phrase("target missing") == []
 
     def test_no_match_starts_at_beginning(self):
-        tokens = ["a", "b", "c", "d"]
-        snippet = make_snippet(tokens, ["zzz"], window=2)
-        assert snippet == "a b"
+        assert snippet_of(["a", "b", "c", "d"], "a", window=2) == "a b"
+        assert snippet_of(["a", "b", "c", "d"], "d", window=2) == "c d"
 
     def test_short_document(self):
-        assert make_snippet(["only"], ["only"], window=10) == "only"
+        assert snippet_of(["only"], "only", window=10) == "only"
 
     def test_service_returns_snippets_containing_topic_words(self, world, engine):
         service = SnippetService(engine)
@@ -181,12 +194,16 @@ class TestSnippets:
         snippets = service.snippets_for_phrase(concept.phrase, limit=20)
         assert snippets
         assert any(concept.terms[0] in s.split() for s in snippets)
+        reference = ReferenceEngine(
+            (page.doc_id, page.text) for page in world.web_corpus
+        )
+        assert snippets == reference.snippets(concept.phrase, limit=20)
 
     @given(st.integers(2, 40))
     @settings(max_examples=10, deadline=None)
     def test_window_size_respected(self, window):
-        tokens = ["w%d" % i for i in range(80)]
-        snippet = make_snippet(tokens, ["w40"], window=window)
+        tokens = letter_words(80)
+        snippet = snippet_of(tokens, tokens[40], window=window)
         assert len(snippet.split()) == window
 
 

@@ -322,14 +322,14 @@ class TestSinglePass:
     def test_tokenize_counter_thread_safe(self):
         import threading
 
-        from repro.text import tokenize
+        from repro.text import tokenize_lower
 
         reset_tokenize_call_count()
         per_thread = 400
 
         def worker():
             for __ in range(per_thread):
-                tokenize("fidel castro visits havana")
+                tokenize_lower("fidel castro visits havana")
 
         threads = [threading.Thread(target=worker) for __ in range(8)]
         for thread in threads:

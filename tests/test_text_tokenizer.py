@@ -1,10 +1,17 @@
-"""Tests for tokenization, sentence and paragraph boundaries."""
+"""Tests for tokenization, sentence and paragraph boundaries.
+
+`TestTokenize` pins the seed's regex tokenizer, kept in
+``tests/reference.py``; `TestWordPaths` holds the word pass
+(`tokenize_lower`, `word_spans`) equal to its word tokens.
+"""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.text import Token, paragraphs, sentences, tokenize, tokenize_lower
-from repro.text.tokenizer import iter_ngrams, word_spans, words_lower
+from repro.text import paragraphs, sentences, tokenize_lower
+from repro.text.tokenizer import iter_ngrams, word_spans
+from tests.reference import Token, tokenize
+from tests.reference import tokenize_lower as seed_tokenize_lower
 
 
 class TestTokenize:
@@ -70,7 +77,7 @@ def reference_spans(text):
 def assert_word_paths_match(text):
     words, starts, ends = word_spans(text)
     assert list(zip(words, starts, ends)) == reference_spans(text)
-    assert words_lower(text) == words
+    assert tokenize_lower(text) == words
 
 
 # Both letter cases, apostrophes (often, so chains and runs are common),
@@ -82,8 +89,8 @@ _ascii_texts = st.text(
 
 
 class TestWordPaths:
-    """`word_spans` and `words_lower` equal the word tokens of
-    `tokenize`: the byte mask for ASCII text, the regex otherwise."""
+    """`word_spans` and `tokenize_lower` equal the word tokens of the
+    seed `tokenize`: the byte mask for ASCII text, the regex otherwise."""
 
     @given(_ascii_texts)
     @example("")
@@ -112,7 +119,7 @@ class TestWordPaths:
         texts += [page.text for page in env_world.web_corpus]
         for text in texts:
             words, starts, ends = word_spans(text)
-            assert words == words_lower(text) == tokenize_lower(text)
+            assert words == tokenize_lower(text) == seed_tokenize_lower(text)
             for word, start, end in zip(words, starts, ends):
                 assert text[start:end].lower() == word
 
