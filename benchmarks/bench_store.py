@@ -121,7 +121,6 @@ def seed_style_load(path):
 def run_store_benchmark(concept_count=CONCEPT_COUNT):
     model = synthetic_model(concept_count)
     packed = PackedRelevanceStore.build(model)
-    packed.arena()  # finalize outside the timed regions
     compressed = CompressedRelevanceStore.from_packed(packed)
     phrases = packed.phrases()
     contexts = document_contexts(packed)

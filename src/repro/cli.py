@@ -399,8 +399,7 @@ def _build_quick_service(
 
             baseline = DriftBaseline.from_store(interestingness)
 
-    sample_phrase = interestingness.phrases()[0]
-    feature_dim = interestingness.extract(sample_phrase).numeric(()).size + 1
+    feature_dim = interestingness.dequantized.shape[1] + 1
     svm = RankSVM(epochs=30)
     rng = np.random.default_rng(0)
     sample = rng.normal(size=(40, feature_dim))

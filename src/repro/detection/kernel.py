@@ -584,7 +584,6 @@ class CombinedAutomaton:
         "base",
         "tags",
         "_delta_pm",
-        "_emits_pm",
         "_out_len",
         "_out_next",
         "_sym_array",
@@ -595,18 +594,19 @@ class CombinedAutomaton:
         self.tags = [int(v) for v in tags]
         # Scan-loop precomputation: delta entries pre-multiplied by the
         # alphabet size (a state is represented by its row base, saving
-        # the per-token multiply; one shared int object per row base)
-        # with the output probe re-indexed to match, and the symbol
-        # column kept as an array so a document's symbol stream is one
-        # vectorized gather.
+        # the per-token multiply; one shared int object per row base),
+        # and the symbol column kept as an array so a document's symbol
+        # stream is one vectorized gather.  The scan never steps on
+        # symbol 0 (it walks only nonzero symbols), so each row's
+        # symbol-0 slot is free: it holds the state's output probe,
+        # ``delta[row base]`` = the first terminal the state emits.
         alphabet = base.alphabet_size
         columns = base.columns()
         states = _state_ints(base.state_count)
-        self._delta_pm = (states * alphabet)[columns["delta"]].tolist()
-        emits_pm = [0] * (base.state_count * alphabet)
+        delta_pm = (states * alphabet)[columns["delta"]].tolist()
         if alphabet:
-            emits_pm[::alphabet] = states[columns["emits"]].tolist()
-        self._emits_pm = emits_pm
+            delta_pm[::alphabet] = states[columns["emits"]].tolist()
+        self._delta_pm = delta_pm
         self._out_len = columns["out_len"].tolist()
         self._out_next = states[columns["out_next"]].tolist()
         self._sym_array = columns["sym"]
@@ -638,7 +638,6 @@ class CombinedAutomaton:
         advances, so the last end written for a start is its longest.
         """
         delta = self._delta_pm
-        emits = self._emits_pm
         out_len = self._out_len
         out_next = self._out_next
         tags = self.tags
@@ -657,7 +656,7 @@ class CombinedAutomaton:
                 state = 0
             previous = position
             state = delta[state + symbol]
-            terminal = emits[state]
+            terminal = delta[state]  # the symbol-0 slot: the state's emit
             while terminal:
                 end = position + 1
                 start = end - out_len[terminal]

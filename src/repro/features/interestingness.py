@@ -128,6 +128,42 @@ def numeric_feature_names(exclude_groups: Sequence[str] = ()) -> List[str]:
     return names
 
 
+def numeric_columns(exclude_groups: Sequence[str]) -> List[int]:
+    """The columns of ``numeric(())`` that ``numeric(exclude_groups)`` keeps."""
+    kept = set(numeric_feature_names(exclude_groups))
+    return [i for i, name in enumerate(numeric_feature_names()) if name in kept]
+
+
+_LOG_FEATURES = frozenset(
+    ("freq_exact", "freq_phrase_contained", "searchengine_phrase", "wiki_word_count")
+)
+
+
+def numeric_matrix(columns: Dict[str, np.ndarray]) -> np.ndarray:
+    """:meth:`InterestingnessVector.numeric` of many vectors at once.
+
+    *columns* holds one array per Table I feature: integer features as
+    whole-valued floats and ``high_level_type`` as a type index (0 for
+    none, else 1 + its ``TAXONOMY_TYPES`` index).  Row *i* is
+    bit-identical to ``numeric(())`` of the vector made of every
+    column's *i*-th value: counts go through ``math.log1p`` as there,
+    not ``np.log1p``, whose SIMD loops may differ in the last bit.
+    """
+    parts = []
+    for name in FEATURE_NAMES:
+        column = columns[name]
+        if name == "high_level_type":
+            parts.append(np.eye(len(TAXONOMY_TYPES) + 1)[column])
+        elif name in _LOG_FEATURES:
+            logs = np.fromiter(
+                map(math.log1p, column.tolist()), dtype=float, count=len(column)
+            )
+            parts.append(logs[:, None])
+        else:
+            parts.append(column.astype(float)[:, None])
+    return np.hstack(parts)
+
+
 class InterestingnessExtractor:
     """Computes Table I feature vectors from the substrate services."""
 
@@ -163,6 +199,18 @@ class InterestingnessExtractor:
 
     def extract_many(self, phrases: Sequence[str]) -> List[InterestingnessVector]:
         return [self.extract(phrase) for phrase in phrases]
+
+    def numeric_rows(
+        self, phrases: Sequence[str], exclude_groups: Sequence[str] = ()
+    ) -> np.ndarray:
+        """One ``numeric(exclude_groups)`` row per phrase, extracted live.
+
+        The call the ranker's feature assembler makes; the quantized
+        store answers it by gathering precomputed rows.
+        """
+        return np.vstack(
+            [self.extract(phrase).numeric(exclude_groups) for phrase in phrases]
+        )
 
     def _count_subconcepts(self, terms: Tuple[str, ...]) -> int:
         """Proper contiguous sub-phrases (>= 2 terms) that are strong units."""

@@ -243,21 +243,17 @@ class DriftBaseline:
     def from_store(cls, store, names: Optional[Sequence[str]] = None):
         """Moments over a quantized interestingness store's vectors.
 
-        Uses the *dequantized* serving-side values (``extract(...).
-        numeric(())``) so the baseline measures exactly what the
-        serving feature matrix will contain.
+        Uses the store's *dequantized* matrix, the rows the serving
+        feature matrix gathers, so the baseline measures exactly what
+        serving will see.
         """
         from repro.features.interestingness import numeric_feature_names
 
         if names is None:
             names = numeric_feature_names(())
-        phrases = store.phrases()
-        if not phrases:
+        if not len(store):
             raise ValueError("cannot baseline an empty store")
-        matrix = np.vstack(
-            [store.extract(phrase).numeric(()) for phrase in phrases]
-        )
-        return cls.from_matrix(names, matrix)
+        return cls.from_matrix(names, store.dequantized)
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -31,77 +31,18 @@ from repro.text.tokenized import DocumentLike
 class FeatureAssembler:
     """Builds model feature matrices for (phrase, context) instances.
 
-    *extractor* supplies Table I interestingness vectors (typically via
-    a precomputed store); *relevance_scorer* supplies the contextual
-    relevance feature and may be None for an interestingness-only model.
-    *exclude_groups* removes feature groups for the Table III ablations.
+    *extractor* supplies Table I interestingness vectors: the quantized
+    store gathers precomputed rows, a live extractor extracts each
+    phrase (both answer ``numeric_rows``).  *relevance_scorer* supplies
+    the contextual relevance feature and may be None for an
+    interestingness-only model.  *exclude_groups* removes feature
+    groups for the Table III ablations.  The assembler keeps no state
+    of its own, so one instance serves concurrent requests.
     """
 
     extractor: InterestingnessExtractor
     relevance_scorer: Optional[RelevanceScorer] = None
     exclude_groups: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        # Per-phrase numeric-vector memo, used only when the extractor
-        # declares a content version (the quantized store does; a live
-        # extractor does not and is never cached).  The tag pins both
-        # the extractor instance and its version, so swapping either
-        # invalidates exactly.  Cached rows live in one 2-D arena so a
-        # document's matrix is a single fancy-index gather; the dict
-        # maps phrase -> arena row.
-        self._numeric_cache: dict = {}
-        self._numeric_cache_tag = None
-        self._numeric_arena: Optional[np.ndarray] = None
-        self._numeric_used = 0
-
-    def _numeric_indices(self, phrases: Sequence[str]) -> List[int]:
-        """Arena row index per phrase, extending the arena on misses.
-
-        Only valid when the extractor is versioned (the caller checked);
-        ``self._numeric_arena`` holds the cached vectors row-per-phrase,
-        document-independent, so ranking N documents against the same
-        store pays one extract+dequantize per distinct phrase, not one
-        per detection.
-        """
-        extractor = self.extractor
-        tag = (id(extractor), extractor.feature_version)
-        cache = self._numeric_cache
-        if tag != self._numeric_cache_tag:
-            cache.clear()
-            self._numeric_cache_tag = tag
-            self._numeric_arena = None
-            self._numeric_used = 0
-        indices = []
-        append = indices.append
-        for phrase in phrases:
-            index = cache.get(phrase)
-            if index is None:
-                row = extractor.extract(phrase).numeric(self.exclude_groups)
-                arena = self._numeric_arena
-                if arena is None:
-                    arena = self._numeric_arena = np.empty((64, row.size))
-                elif self._numeric_used == len(arena):
-                    arena = np.empty((2 * len(arena), row.size))
-                    arena[: self._numeric_used] = self._numeric_arena
-                    self._numeric_arena = arena
-                index = self._numeric_used
-                arena[index] = row
-                self._numeric_used = index + 1
-                cache[phrase] = index
-            append(index)
-        return indices
-
-    def _numeric_rows(self, phrases: Sequence[str]) -> List[np.ndarray]:
-        """One interestingness numeric vector per phrase (memoized)."""
-        extractor = self.extractor
-        if getattr(extractor, "feature_version", None) is None:
-            return [
-                extractor.extract(phrase).numeric(self.exclude_groups)
-                for phrase in phrases
-            ]
-        indices = self._numeric_indices(phrases)
-        arena = self._numeric_arena
-        return [arena[index] for index in indices]
 
     def vector(self, phrase: str, context: Optional[Set[str]] = None) -> np.ndarray:
         """The feature vector for *phrase* in *context*."""
@@ -124,51 +65,29 @@ class FeatureAssembler:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(feature matrix, raw relevance scores) with one batched lookup.
 
-        The relevance column is produced by a single ``score_many`` call
-        against the store (vectorized over the columnar arena) and is
-        returned alongside the matrix so rankers can reuse it for
+        The interestingness columns come from one ``numeric_rows`` call
+        and the relevance column from one ``score_many`` call against
+        the store (vectorized over the columnar arena); the raw scores
+        are returned alongside the matrix so rankers can reuse them for
         tie-breaking without scoring twice.
-
-        With a versioned extractor the matrix is assembled with one
-        fancy-index gather from the row arena straight into the output
-        (plus the relevance column written in place) — the same values
-        the row-by-row ``np.vstack``/``np.concatenate`` construction
-        produces, without the per-row Python overhead.
         """
-        if getattr(self.extractor, "feature_version", None) is None:
-            base = np.vstack(self._numeric_rows(phrases))
-            if self.relevance_scorer is None:
-                return base, np.zeros(len(phrases))
-            if context is None:
-                raise ValueError(
-                    "relevance-enabled assembler requires a context"
-                )
-            relevance = self._batched_scores(phrases, context)
-            return (
-                np.concatenate([base, np.log1p(relevance)[:, None]], axis=1),
-                relevance,
-            )
-        indices = self._numeric_indices(phrases)
-        arena = self._numeric_arena
+        base = self.extractor.numeric_rows(phrases, self.exclude_groups)
         if self.relevance_scorer is None:
-            return arena[indices], np.zeros(len(phrases))
+            return base, np.zeros(len(phrases))
         if context is None:
             raise ValueError("relevance-enabled assembler requires a context")
         relevance = self._batched_scores(phrases, context)
-        width = arena.shape[1]
-        features = np.empty((len(indices), width + 1))
-        features[:, :width] = arena[indices]
+        width = base.shape[1]
+        features = np.empty((len(phrases), width + 1))
+        features[:, :width] = base
         features[:, width] = np.log1p(relevance)
         return features, relevance
 
     def _batched_scores(
         self, phrases: Sequence[str], context: Set[str]
     ) -> np.ndarray:
-        score_many = getattr(self.relevance_scorer, "score_many", None)
-        if score_many is not None:
-            return np.asarray(score_many(phrases, context), dtype=float)
         return np.asarray(
-            [self.relevance_scorer.score(phrase, context) for phrase in phrases]
+            self.relevance_scorer.score_many(phrases, context), dtype=float
         )
 
     def feature_names(self) -> List[str]:

@@ -100,14 +100,6 @@ class SegmentTable:
         """The packed pairs of one concept."""
         return self.gather(np.asarray([row], dtype=np.int64))[0]
 
-    def segments(self) -> Iterable[Tuple[str, np.ndarray]]:
-        """(phrase, segment) in row order, from one gather of every row."""
-        values, bounds = self.gather(np.arange(len(self.phrases)))
-        start = 0
-        for phrase, end in zip(self.phrases, bounds.tolist()):
-            yield phrase, values[start:end]
-            start = end
-
 
 class PhraseArena(SegmentTable):
     """Contiguous packed-pair column + offsets index + phrase -> row table.

@@ -245,7 +245,7 @@ def load_interestingness_store(
     matrix = np.frombuffer(sections["rows"], dtype="<u2").reshape(
         (-1, FIELD_COUNT)
     )
-    return QuantizedInterestingnessStore.from_columns(
+    return QuantizedInterestingnessStore(
         meta["field_max"], meta["phrases"], matrix, backing=backing
     )
 
@@ -344,7 +344,7 @@ def load_relevance_store(
                 raise ValueError("non-contiguous v1 relevance index")
             offsets[row + 1] = entry["offset"] + entry["count"]
         arena = PhraseArena(pairs, offsets, phrases)
-    return PackedRelevanceStore.from_arena(
+    return PackedRelevanceStore(
         tid_table, meta["score_max"], arena, backing=backing
     )
 

@@ -70,8 +70,11 @@ class RankerService:
     comes from the precomputed columnar stores — the quantized
     interestingness matrix and the packed (or Golomb-compressed)
     relevance arena — exactly as the production framework requires.
-    A document's candidates are scored with one batched ``score_many``
-    arena pass instead of per-phrase dict lookups.
+    A document's candidates are scored with one row gather from the
+    interestingness store's dequantized matrix and one batched
+    ``score_many`` arena pass.  The stores and the feature assembler
+    are immutable, so concurrent ``process`` calls (the telemetry
+    server runs one thread per request) share them without a lock.
 
     *registry*/*tracer* default to the process-wide pair from
     :mod:`repro.obs`; pass explicit ones to isolate a service's
@@ -168,20 +171,21 @@ class RankerService:
         """Measure the serving stores' payload bytes into the registry.
 
         Sets ``resident_bytes{component=...}`` gauges for the quantized
-        interestingness matrix, the relevance arena (packed or
-        Golomb–Rice coded), and the feature arena, and returns the
-        measured map — the ``/debug/heap`` surface calls this per
-        scrape, so the gauges track arena growth live.
+        interestingness store, the relevance arena (packed or
+        Golomb–Rice coded), and the feature arena (the interestingness
+        store's dequantized matrix, which the first gauge includes),
+        and returns the measured map — the ``/debug/heap`` surface
+        calls this per scrape.
         """
         from repro.obs.profile import record_resident_bytes
 
-        components = {"interestingness_store": self._store}
+        components = {
+            "interestingness_store": self._store,
+            "feature_arena": self._store.dequantized,
+        }
         relevance = self._assembler.relevance_scorer
         if relevance is not None:
             components["relevance_store"] = relevance
-        arena = getattr(self._assembler, "_numeric_arena", None)
-        if arena is not None:
-            components["feature_arena"] = arena
         return record_resident_bytes(components, registry=self._registry)
 
     def process(

@@ -6,17 +6,19 @@ that would fit each field to two bytes (this causes a minor decrease in
 granularity).  So the interestingness vectors for 1 million concepts
 would cost 18MB in memory."
 
-The store keeps ONE contiguous ``uint16`` matrix of 9 fields per
-concept (a fixed-stride columnar arena) plus a phrase -> row table and
-exposes ``extract(phrase)``, making it a drop-in for the live
-:class:`~repro.features.interestingness.InterestingnessExtractor` in
-the runtime ranker.  Data-pack loads adopt the matrix as a zero-copy
-view over the mapped pack.
+The store is immutable: ONE contiguous ``uint16`` matrix of 9 fields
+per concept (a fixed-stride columnar arena), a phrase -> row table, and
+the dequantized model-ready matrix derived from them once, at
+construction.  ``extract(phrase)`` makes it a drop-in for the live
+:class:`~repro.features.interestingness.InterestingnessExtractor`, and
+``numeric_rows`` serves the ranker's feature matrix as one row gather.
+Data-pack loads adopt the ``uint16`` matrix as a zero-copy view over
+the mapped pack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,11 +26,14 @@ from repro.corpus.concepts import TAXONOMY_TYPES
 from repro.features.interestingness import (
     InterestingnessExtractor,
     InterestingnessVector,
+    numeric_columns,
+    numeric_matrix,
 )
 from repro.features.quantize import dequantize, quantize
 from repro.obs import get_registry
 
 FIELD_BITS = 16
+_LEVELS = (1 << FIELD_BITS) - 1
 _NUMERIC_FIELDS = (
     "freq_exact",
     "freq_phrase_contained",
@@ -43,88 +48,69 @@ _TYPE_FIELD = len(_NUMERIC_FIELDS)  # taxonomy type stored as an index
 FIELD_COUNT = len(_NUMERIC_FIELDS) + 1
 
 
-class QuantizedInterestingnessStore:
-    """Phrase -> row in one (concepts x 9) uint16 matrix."""
+def _dequantized(matrix: np.ndarray, field_max: Sequence[float]) -> np.ndarray:
+    """Row *i* is ``numeric(())`` of the vector ``extract`` reads off row *i*.
 
-    def __init__(self, field_max: Sequence[float]):
+    Same arithmetic as :func:`~repro.features.quantize.dequantize`
+    (code / levels * max) and ``extract``'s rounding of the integer
+    fields (``np.rint`` rounds half to even, as ``round`` does).
+    """
+    values = matrix[:, :_TYPE_FIELD].astype(np.float64) / _LEVELS
+    values *= np.asarray(field_max, dtype=np.float64)
+    columns = {
+        name: values[:, index] if name == "unit_score" else np.rint(values[:, index])
+        for index, name in enumerate(_NUMERIC_FIELDS)
+    }
+    columns["high_level_type"] = matrix[:, _TYPE_FIELD]
+    return numeric_matrix(columns)
+
+
+class QuantizedInterestingnessStore:
+    """Phrase -> row in one (concepts x 9) uint16 matrix.
+
+    *phrases* name the rows of *matrix* in order; *backing* is held for
+    the store's lifetime so a mapped data-pack outlives the matrix view.
+    """
+
+    def __init__(
+        self,
+        field_max: Sequence[float],
+        phrases: Sequence[str],
+        matrix: np.ndarray,
+        backing=None,
+    ):
         if len(field_max) != len(_NUMERIC_FIELDS):
             raise ValueError("one max per numeric field required")
+        if matrix.shape != (len(phrases), FIELD_COUNT):
+            raise ValueError("matrix shape does not match the phrase index")
         self._field_max = [max(float(m), 1e-12) for m in field_max]
-        self._index: Dict[str, int] = {}
-        self._matrix = np.zeros((0, FIELD_COUNT), dtype=np.uint16)
-        self._staged: Dict[str, np.ndarray] = {}
-        self._backing = None  # keeps a mapped data-pack alive
-        self._version = 0  # bumped on every row write (cache invalidation)
+        self._index: Dict[str, int] = {
+            phrase: row for row, phrase in enumerate(phrases)
+        }
+        self._matrix = matrix
+        self._backing = backing
+        numeric = _dequantized(matrix, self._field_max)
+        numeric.flags.writeable = False
+        self._numeric = numeric
         self._m_lookups = get_registry().counter(
             "interestingness_lookups_total",
             help="quantized interestingness vector lookups",
         )
 
     def __len__(self) -> int:
-        return len(self._index) + sum(
-            1 for phrase in self._staged if phrase not in self._index
-        )
+        return len(self._index)
 
     def __contains__(self, phrase: str) -> bool:
-        key = phrase.lower()
-        return key in self._staged or key in self._index
-
-    def add(self, vector: InterestingnessVector) -> None:
-        """Quantize and store one concept's feature vector."""
-        row = np.zeros(FIELD_COUNT, dtype=np.uint16)
-        for index, name in enumerate(_NUMERIC_FIELDS):
-            row[index] = quantize(
-                float(vector.value(name)), self._field_max[index], FIELD_BITS
-            )
-        if vector.high_level_type is None:
-            row[_TYPE_FIELD] = 0
-        else:
-            row[_TYPE_FIELD] = 1 + TAXONOMY_TYPES.index(vector.high_level_type)
-        self._staged[vector.phrase] = row
-        self._version += 1
-
-    def _ensure_matrix(self) -> np.ndarray:
-        if self._staged:
-            fresh: List[np.ndarray] = []
-            for phrase, row in self._staged.items():
-                existing = self._index.get(phrase)
-                if existing is not None:
-                    if not self._matrix.flags.writeable:
-                        self._matrix = self._matrix.copy()
-                    self._matrix[existing] = row
-                else:
-                    self._index[phrase] = len(self._index)
-                    fresh.append(row)
-            if fresh:
-                self._matrix = (
-                    np.vstack([self._matrix] + fresh)
-                    if self._matrix.size
-                    else np.vstack(fresh).astype(np.uint16, copy=False)
-                )
-            self._staged = {}
-        return self._matrix
-
-    @property
-    def feature_version(self) -> int:
-        """Monotonic content version.
-
-        Stored rows never change value between versions, so any
-        consumer caching derived per-phrase data (e.g. the ranker's
-        assembled numeric vectors) can key its cache on this and stay
-        exact across ``add`` calls.
-        """
-        return self._version
+        return phrase.lower() in self._index
 
     def extract(self, phrase: str) -> InterestingnessVector:
         """Dequantized feature vector (the live-extractor protocol)."""
         self._m_lookups.inc()
         key = phrase.lower()
-        row = self._staged.get(key)
-        if row is None:
-            index = self._index.get(key)
-            if index is None:
-                raise KeyError(f"unknown concept: {phrase!r}")
-            row = self._matrix[index]
+        index = self._index.get(key)
+        if index is None:
+            raise KeyError(f"unknown concept: {phrase!r}")
+        row = self._matrix[index]
         values = {
             name: dequantize(int(row[index]), self._field_max[index], FIELD_BITS)
             for index, name in enumerate(_NUMERIC_FIELDS)
@@ -145,14 +131,33 @@ class QuantizedInterestingnessStore:
             wiki_word_count=int(round(values["wiki_word_count"])),
         )
 
+    @property
+    def dequantized(self) -> np.ndarray:
+        """The read-only (concepts x numeric width) float matrix: row *i*
+        is ``extract(phrases()[i]).numeric(())``."""
+        return self._numeric
+
+    def numeric_rows(
+        self, phrases: Sequence[str], exclude_groups: Sequence[str] = ()
+    ) -> np.ndarray:
+        """``extract(p).numeric(exclude_groups)`` for each phrase, as one
+        gather of :attr:`dequantized` rows (the kept columns only)."""
+        index = self._index
+        try:
+            rows = [index[phrase.lower()] for phrase in phrases]
+        except KeyError as error:
+            raise KeyError(f"unknown concept: {error.args[0]!r}") from None
+        self._m_lookups.inc(len(rows))
+        if exclude_groups:
+            return self._numeric[np.ix_(rows, numeric_columns(exclude_groups))]
+        return self._numeric[rows]
+
     def phrases(self) -> List[str]:
-        self._ensure_matrix()
         return list(self._index)
 
     def columns(self) -> Tuple[List[str], np.ndarray]:
         """(phrases in row order, uint16 matrix) for persistence."""
-        matrix = self._ensure_matrix()
-        return list(self._index), matrix
+        return list(self._index), self._matrix
 
     def field_max(self) -> List[float]:
         """The per-field normalization maxima (persistence metadata)."""
@@ -163,35 +168,31 @@ class QuantizedInterestingnessStore:
         return len(self) * FIELD_COUNT * 2
 
     @classmethod
-    def from_columns(
-        cls,
-        field_max: Sequence[float],
-        phrases: Sequence[str],
-        matrix: np.ndarray,
-        backing=None,
-    ) -> "QuantizedInterestingnessStore":
-        """Adopt a ready row matrix (the zero-copy data-pack load path)."""
-        if matrix.shape != (len(phrases), FIELD_COUNT):
-            raise ValueError("matrix shape does not match the phrase index")
-        store = cls(field_max)
-        store._index = {phrase: row for row, phrase in enumerate(phrases)}
-        store._matrix = matrix
-        store._backing = backing
-        return store
-
-    @classmethod
     def from_vectors(
         cls, vectors: Sequence[InterestingnessVector]
     ) -> "QuantizedInterestingnessStore":
-        """Quantize already-extracted vectors (the offline-builder path)."""
+        """Quantize already-extracted vectors (the offline-builder path)
+        straight into the row matrix.  A repeated phrase keeps its
+        first row and its last vector."""
         field_max = [
-            max((float(v.value(name)) for v in vectors), default=1.0) or 1.0
+            max(
+                max((float(v.value(name)) for v in vectors), default=1.0) or 1.0,
+                1e-12,
+            )
             for name in _NUMERIC_FIELDS
         ]
-        store = cls(field_max)
-        for vector in vectors:
-            store.add(vector)
-        return store
+        last = {vector.phrase: index for index, vector in enumerate(vectors)}
+        matrix = np.zeros((len(last), FIELD_COUNT), dtype=np.uint16)
+        for row, index in enumerate(last.values()):
+            vector = vectors[index]
+            matrix[row, :_TYPE_FIELD] = [
+                quantize(float(vector.value(name)), scale, FIELD_BITS)
+                for name, scale in zip(_NUMERIC_FIELDS, field_max)
+            ]
+            if vector.high_level_type is not None:
+                kind = TAXONOMY_TYPES.index(vector.high_level_type)
+                matrix[row, _TYPE_FIELD] = 1 + kind
+        return cls(field_max, list(last), matrix)
 
     @classmethod
     def build(

@@ -9,11 +9,12 @@ terms to be in the range of 0 and 1023, so that they can fit in 10
 bits.  So for each concept, we need 400 bytes to store its top 100
 (TID, score) pairs, since each pair can be stored in 32 bits."
 
-The store keeps every concept's pairs in one columnar
-:class:`~repro.runtime.arena.PhraseArena`; lookups are vectorized
-(shift out the TID column, sorted-intersect against the document's TID
-array, dequantize the matched codes) and bit-for-bit identical to the
-seed per-element loop.
+The store is immutable: every concept's pairs sit in one columnar
+:class:`~repro.runtime.arena.PhraseArena`, packed in one pass at build
+time or adopted from a mapped data-pack.  Lookups are vectorized (shift
+out the TID column, sorted-intersect against the document's TID array,
+dequantize the matched codes, ``np.bincount`` per phrase) and
+bit-for-bit identical to the seed per-element loop.
 """
 
 from __future__ import annotations
@@ -154,27 +155,73 @@ def model_score_peak(model: RelevanceModel) -> float:
     return peak
 
 
+def _pack_model(
+    model: RelevanceModel, tid_table: GlobalTidTable, score_max: float
+) -> PhraseArena:
+    """Every concept's (TID, score code) words, sorted per concept, in
+    one arena built in one pass.
+
+    Code for code what :func:`~repro.features.quantize.quantize` +
+    :func:`pack_pair` per pair give: ``np.rint`` rounds half to even
+    like ``round``, ``assign`` enforces the 22-bit TID range, and the
+    scaling runs in the same operand order in float64.  Terms get TIDs
+    in model order, pair by pair; a phrase repeated after lower-casing
+    keeps its first row and its last pairs.
+    """
+    assign = tid_table.assign
+    block_of: Dict[str, int] = {}
+    counts: List[int] = []
+    tids: List[int] = []
+    scores: List[float] = []
+    for phrase in model.phrases():
+        pairs = model.relevant_terms(phrase)
+        block_of[phrase.lower()] = len(counts)
+        counts.append(len(pairs))
+        for term, score in pairs:
+            tids.append(assign(term))
+            scores.append(score)
+    words = np.asarray(tids, dtype=np.uint32) << np.uint32(SCORE_BITS)
+    if score_max > 0:
+        codes = np.asarray(scores, dtype=np.float64) / score_max * MAX_SCORE_CODE
+        words |= np.clip(np.rint(codes), 0, MAX_SCORE_CODE).astype(np.uint32)
+    block_starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=block_starts[1:])
+    blocks = np.fromiter(block_of.values(), dtype=np.int64, count=len(block_of))
+    lengths = np.diff(block_starts)[blocks]
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    row_of = np.repeat(np.arange(len(blocks)), lengths)
+    local = np.arange(int(offsets[-1])) - offsets[:-1][row_of]
+    pairs = words[block_starts[blocks][row_of] + local]
+    return PhraseArena(pairs[np.lexsort((pairs, row_of))], offsets, list(block_of))
+
+
 class PackedRelevanceStore:
     """Concept -> packed (TID, score) pairs; the runtime relevance scorer.
 
     Drop-in for :class:`repro.features.relevance.RelevanceScorer`: it
     exposes ``context_stems`` (returning a sorted TID array) and
-    ``score``/``score_many``.  Mutations stage per-phrase arrays; the
-    first lookup finalizes them into a columnar
-    :class:`~repro.runtime.arena.PhraseArena` (data-pack loads adopt a
-    ready arena directly, zero-copy).  A subclass swaps in another
-    arena with the same read interface through ``_arena_type``.
+    ``score``/``score_many``.  Immutable: the store serves one columnar
+    *arena* (:meth:`build` packs a relevance model into a
+    :class:`~repro.runtime.arena.PhraseArena`; data-pack loads pass
+    zero-copy views, with the mapped pack as *backing*, held for the
+    store's lifetime).  Scoring reads the arena only through ``rows``
+    and ``gather``, so a subclass serves another arena type unchanged.
     """
 
-    _arena_type = PhraseArena
     _store_label = "packed"  # the ``store`` label of its metrics
 
-    def __init__(self, tid_table: GlobalTidTable, score_max: float):
+    def __init__(
+        self,
+        tid_table: GlobalTidTable,
+        score_max: float,
+        arena: Optional[SegmentTable] = None,
+        backing=None,
+    ):
         self._tids = tid_table
         self.score_max = float(score_max)
-        self._staged: Dict[str, np.ndarray] = {}
-        self._arena: Optional[SegmentTable] = None
-        self._backing = None  # keeps a mapped data-pack alive
+        self._arena = arena if arena is not None else PhraseArena.from_segments(())
+        self._backing = backing
         registry = get_registry()
         self._m_lookups = registry.counter(
             "relevance_lookups_total",
@@ -193,78 +240,24 @@ class PackedRelevanceStore:
         return self._tids
 
     def __len__(self) -> int:
-        count = len(self._staged)
-        if self._arena is not None:
-            count += sum(
-                1 for phrase in self._arena.phrases if phrase not in self._staged
-            )
-        return count
+        return len(self._arena)
 
     def __contains__(self, phrase: str) -> bool:
-        key = phrase.lower()
-        if key in self._staged:
-            return True
-        return self._arena is not None and key in self._arena.rows
-
-    def add(self, phrase: str, relevant_terms) -> None:
-        """Pack one concept's relevant terms (staged until next lookup).
-
-        Vectorized, but code-for-code what `quantize` + `pack_pair` per
-        pair would produce: `np.rint` rounds half-to-even exactly like
-        python `round`, `assign` enforces the 22-bit TID range, and the
-        scaling runs in the same operand order in float64.
-        """
-        pairs = list(relevant_terms)
-        if not pairs:
-            self._staged[phrase.lower()] = np.zeros(0, dtype=np.uint32)
-            return
-        assign = self._tids.assign
-        tids = np.fromiter(
-            (assign(term) for term, __ in pairs), dtype=np.uint32, count=len(pairs)
-        )
-        packed = tids << np.uint32(SCORE_BITS)
-        if self.score_max > 0:
-            scores = np.fromiter(
-                (score for __, score in pairs), dtype=np.float64, count=len(pairs)
-            )
-            codes = np.rint(scores / self.score_max * MAX_SCORE_CODE)
-            packed |= np.clip(codes, 0, MAX_SCORE_CODE).astype(np.uint32)
-        packed.sort()
-        self._staged[phrase.lower()] = packed
-
-    def _iter_segments(self):
-        staged = self._staged
-        if self._arena is None:
-            yield from staged.items()
-            return
-        for phrase, segment in self._arena.segments():
-            override = staged.get(phrase)
-            yield phrase, override if override is not None else segment
-        for phrase, array in staged.items():
-            if phrase not in self._arena.rows:
-                yield phrase, array
+        return phrase.lower() in self._arena.rows
 
     def arena(self) -> SegmentTable:
-        """The finalized columnar arena (staged mutations merged in)."""
-        if self._arena is None or self._staged:
-            self._arena = self._arena_type.from_segments(self._iter_segments())
-            self._staged = {}
+        """The columnar arena the store serves."""
         return self._arena
 
     def phrases(self) -> List[str]:
         """Phrases in arena row order."""
-        return list(self.arena().phrases)
+        return list(self._arena.phrases)
 
     def packed(self, phrase: str) -> np.ndarray:
-        key = phrase.lower()
-        staged = self._staged.get(key)
-        if staged is not None:
-            return staged
-        if self._arena is not None:
-            row = self._arena.rows.get(key)
-            if row is not None:
-                return self._arena.segment(row)
-        return np.zeros(0, dtype=np.uint32)
+        row = self._arena.rows.get(phrase.lower())
+        if row is None:
+            return np.zeros(0, dtype=np.uint32)
+        return self._arena.segment(row)
 
     # -- RelevanceScorer protocol ------------------------------------------
 
@@ -280,67 +273,44 @@ class PackedRelevanceStore:
             return kernel.tid_context(text, self._tids)
         return self._tids.tid_context(stemmed_terms(text))
 
-    def _sum_matched(self, values: np.ndarray) -> float:
-        # Left-to-right scalar accumulation reproduces the seed loop's
-        # float result bit-for-bit (np.sum's pairwise order would not).
-        total = 0.0
-        for value in values.tolist():
-            total += value
-        return total
-
     def score(self, phrase: str, context) -> float:
         """Summed dequantized scores of the concept's TIDs in context."""
         self._m_lookups.inc()
-        ctx = as_tid_context(context)
-        if ctx is None:
-            return 0.0
-        arena = self.arena()
-        row = arena.rows.get(phrase.lower())
-        if row is None:
-            return 0.0
-        segment = arena.segment(row)
-        if not segment.size:
-            return 0.0
-        mask = sorted_membership(ctx, segment >> SCORE_BITS)
-        if not mask.any():
-            return 0.0
-        codes = (segment[mask] & MAX_SCORE_CODE).astype(np.float64)
-        return self._sum_matched(codes / MAX_SCORE_CODE * self.score_max)
+        return float(self.score_many([phrase], context)[0])
 
     def score_many(self, phrases: Sequence[str], context) -> np.ndarray:
         """Vectorized scores for many phrases sharing one context.
 
         One flat gather + one sorted-intersect over every requested
-        segment; only the matched pairs are dequantized and they are
-        accumulated left-to-right per phrase, so each result is
-        identical to :meth:`score`.
+        segment; only the matched pairs are dequantized, and
+        ``np.bincount`` adds each phrase's matches left to right, in
+        the seed per-element loop's order, so every total is bit-for-bit
+        the seed's.
         """
         self._m_batch.observe(len(phrases))
-        totals = [0.0] * len(phrases)
+        totals = np.zeros(len(phrases))
         ctx = as_tid_context(context)
         if ctx is None or not len(phrases):
-            return np.asarray(totals)
-        arena = self.arena()
+            return totals
+        arena = self._arena
         lookup = arena.rows.get
         rows = np.asarray(
             [lookup(phrase.lower(), -1) for phrase in phrases], dtype=np.int64
         )
         valid = np.flatnonzero(rows >= 0)
         if not valid.size:
-            return np.asarray(totals)
+            return totals
         values, bounds = arena.gather(rows[valid])
         if not values.size:
-            return np.asarray(totals)
+            return totals
         hits = np.flatnonzero(sorted_membership(ctx, values >> SCORE_BITS))
         if not hits.size:
-            return np.asarray(totals)
+            return totals
         matched = (values[hits] & MAX_SCORE_CODE).astype(np.float64)
         matched = matched / MAX_SCORE_CODE * self.score_max
         # map each hit back to the phrase whose segment contains it
         owners = valid[bounds.searchsorted(hits, side="right")]
-        for index, value in zip(owners.tolist(), matched.tolist()):
-            totals[index] += value
-        return np.asarray(totals)
+        return np.bincount(owners, weights=matched, minlength=len(phrases))
 
     def score_text(self, phrase: str, text: str) -> float:
         return self.score(phrase, self.context_stems(text))
@@ -349,7 +319,7 @@ class PackedRelevanceStore:
 
     def memory_bytes(self) -> int:
         """Bytes of pair storage (4 per pair in a packed arena, as the paper)."""
-        return self.arena().payload_bytes
+        return self._arena.payload_bytes
 
     @classmethod
     def build(
@@ -367,25 +337,5 @@ class PackedRelevanceStore:
             score_max = model_score_peak(model) or 1.0
         if tid_table is None:
             tid_table = GlobalTidTable()
-        store = cls(tid_table, score_max=score_max)
-        for phrase in model.phrases():
-            store.add(phrase, model.relevant_terms(phrase))
-        return store
-
-    @classmethod
-    def from_arena(
-        cls,
-        tid_table: GlobalTidTable,
-        score_max: float,
-        arena: SegmentTable,
-        backing=None,
-    ) -> "PackedRelevanceStore":
-        """Adopt a ready-made arena (the zero-copy data-pack load path).
-
-        *backing* is held for the store's lifetime so a mapped pack's
-        buffer outlives the arrays viewing it.
-        """
-        store = cls(tid_table, score_max=score_max)
-        store._arena = arena
-        store._backing = backing
-        return store
+        arena = _pack_model(model, tid_table, float(score_max))
+        return cls(tid_table, score_max, arena)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -92,16 +92,15 @@ class SearchEngine:
         n = self.frozen.document_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def _ranked_results(
-        self, rows: np.ndarray, scores: np.ndarray, limit: int
-    ) -> List[SearchResult]:
-        """Sort (-score, doc_id) and materialise the top *limit*."""
-        doc_ids = self.frozen.doc_ids[rows]
-        order = np.lexsort((doc_ids, -scores))[:limit]
+    def _top(self, rows: np.ndarray, scores: np.ndarray, limit: int) -> np.ndarray:
+        """Positions of the top *limit* of *rows*, by (-score, doc_id)."""
+        return np.lexsort((self.frozen.doc_ids[rows], -scores))[:limit]
+
+    def _results(self, rows: np.ndarray, scores: np.ndarray) -> List[SearchResult]:
         return [
             SearchResult(doc_id, score)
             for doc_id, score in zip(
-                doc_ids[order].tolist(), scores[order].tolist()
+                self.frozen.doc_ids[rows].tolist(), scores.tolist()
             )
         ]
 
@@ -117,7 +116,9 @@ class SearchEngine:
         scores = np.zeros(frozen.document_count)
         touched = np.zeros(frozen.document_count, dtype=bool)
         k1 = self.k1
-        for term in set(terms):
+        # first-seen order, not set order: float addition order decides
+        # the last bit, and set order follows the string hash seed
+        for term in dict.fromkeys(terms):
             slot = frozen.slot(term)
             if slot is None:
                 continue
@@ -129,21 +130,35 @@ class SearchEngine:
             scores[rows] += contribution
             touched[rows] = True
         rows = np.flatnonzero(touched)
-        if not rows.size:
-            return []
-        return self._ranked_results(rows, scores[rows], limit)
+        scores = scores[rows]
+        order = self._top(rows, scores, limit)
+        return self._results(rows[order], scores[order])
 
     def phrase_search(self, phrase: str, limit: int = 10) -> List[SearchResult]:
         """Exact-phrase search, scored by phrase frequency * idf."""
+        rows, scores, __ = self.phrase_hits(phrase, limit)
+        return self._results(rows, scores)
+
+    def phrase_hits(
+        self, phrase: str, limit: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(corpus rows, scores, first-occurrence starts) of the top
+        *limit* phrase-query results, best first.
+
+        :meth:`phrase_search`'s ranking plus the token position each
+        result's first exact occurrence starts at, which anchors its
+        snippet window, from one phrase intersection.
+        """
         self._m_queries["phrase"].inc()
         terms = tokenize_lower(phrase)
         if not terms:
-            return []
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, np.zeros(0), empty
         idf = sum(self._idf(term) for term in terms)
-        rows, counts, __ = self.frozen.phrase_occurrences(terms)
-        if not rows.size:
-            return []
-        return self._ranked_results(rows, counts * idf, limit)
+        rows, counts, firsts = self.frozen.phrase_occurrences(terms)
+        scores = counts * idf
+        order = self._top(rows, scores, limit)
+        return rows[order], scores[order], firsts[order]
 
     def phrase_result_count(self, phrase: str) -> int:
         """Feature 4: total number of pages matching the phrase query."""

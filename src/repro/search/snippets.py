@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.search.engine import SearchEngine
 from repro.text.corpus import TokenizedCorpus
-from repro.text.tokenizer import tokenize_lower
 
 
 class SnippetService:
@@ -47,21 +46,14 @@ class SnippetService:
         ``window`` tokens (fewer in a shorter document) around the
         phrase's first occurrence, shifted to stay inside the document.
         """
-        results = self._engine.phrase_search(phrase, limit=limit)
-        if not results:
-            return []
-        corpus = self._engine.corpus
-        rows, __, firsts = self._engine.frozen.phrase_occurrences(
-            tokenize_lower(phrase)
-        )
-        first_start = dict(zip(rows.tolist(), firsts.tolist()))
+        rows, __, firsts = self._engine.phrase_hits(phrase, limit)
+        id_arrays = self._engine.corpus.id_arrays
         window = self._window
         half = window // 2
         windows = []
-        for result in results:
-            row = corpus.doc_row(result.doc_id)
-            ids = corpus.id_arrays[row]
-            start = max(0, first_start[row] - half)
+        for row, first in zip(rows.tolist(), firsts.tolist()):
+            ids = id_arrays[row]
+            start = max(0, first - half)
             end = min(len(ids), start + window)
             start = max(0, end - window)
             windows.append(ids[start:end])

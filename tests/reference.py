@@ -188,12 +188,12 @@ class ReferenceEngine:
         return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:limit]
 
     def search(self, query: str, limit: int = 10):
-        terms = set(tokenize_lower(query))
+        terms = dict.fromkeys(tokenize_lower(query))
         idf = {term: self.idf(term) for term in terms}
         avg_len = self.average_length or 1.0
         scored = []
         for doc_id, tokens in self.tokens.items():
-            if not terms & set(tokens):
+            if not terms.keys() & set(tokens):
                 continue
             length_norm = 1 - self.b + self.b * len(tokens) / avg_len
             score = 0.0

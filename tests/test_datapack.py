@@ -120,8 +120,8 @@ class TestRelevanceStorePersistence:
         # Plant a term at the very top of the 22-bit TID space; packing,
         # persistence, and the sparse v2 term list must all survive it.
         table = GlobalTidTable.from_items([("edge", MAX_TID - 1), ("top", MAX_TID)])
-        store = PackedRelevanceStore(table, score_max=10.0)
-        store.add("boundary concept", (("top", 10.0), ("edge", 0.0)))
+        model = RelevanceModel({"boundary concept": (("top", 10.0), ("edge", 0.0))})
+        store = PackedRelevanceStore.build(model, table, score_max=10.0)
         path = tmp_path / "edge.rpak"
         save_relevance_store(store, path)
         loaded = load_relevance_store(path)
@@ -134,8 +134,8 @@ class TestRelevanceStorePersistence:
     def test_quantize_extremes_round_trip(self, tmp_path):
         # score 0 -> code 0, score == score_max -> code 1023: both ends of
         # the 10-bit range must dequantize back to the same values.
-        store = PackedRelevanceStore(GlobalTidTable(), score_max=64.0)
-        store.add("extremes", (("zero", 0.0), ("full", 64.0)))
+        model = RelevanceModel({"extremes": (("zero", 0.0), ("full", 64.0))})
+        store = PackedRelevanceStore.build(model, GlobalTidTable(), score_max=64.0)
         packed = store.packed("extremes")
         codes = sorted((int(p) & MAX_SCORE_CODE) for p in packed)
         assert codes == [0, MAX_SCORE_CODE]
@@ -180,8 +180,8 @@ class TestMappedPackErrors:
 
     def test_truncated_pack_raises_clean_error(self, tmp_path):
         good = tmp_path / "good.rpak"
-        store = PackedRelevanceStore(GlobalTidTable(), score_max=1.0)
-        store.add("x", (("a", 1.0),))
+        model = RelevanceModel({"x": (("a", 1.0),)})
+        store = PackedRelevanceStore.build(model, GlobalTidTable(), score_max=1.0)
         save_relevance_store(store, good)
         bad = tmp_path / "cut.rpak"
         bad.write_bytes(good.read_bytes()[:-5])

@@ -700,67 +700,6 @@ class TestConstructorTimeCompilation:
         assert [detector.detect(text) for text in texts] == expected
 
 
-class _FakeVector:
-    def __init__(self, row):
-        self._row = row
-
-    def numeric(self, exclude_groups=()):
-        return np.asarray(self._row, dtype=float)
-
-
-class _FakeExtractor:
-    def __init__(self, version=1):
-        self.feature_version = version
-        self.extract_calls = 0
-
-    def extract(self, phrase):
-        self.extract_calls += 1
-        seed = (hash(phrase) % 1000) / 1000.0
-        return _FakeVector([seed, seed * 2.0, seed - 1.0])
-
-
-class TestFeatureArena:
-    def test_arena_matches_vstack_path(self):
-        from repro.ranking.model import FeatureAssembler
-
-        phrases = ["alpha", "beta", "gamma", "alpha", "beta"]
-        versioned = FeatureAssembler(extractor=_FakeExtractor(version=1))
-        unversioned = FeatureAssembler(extractor=_FakeExtractor(version=1))
-        unversioned.extractor.feature_version = None
-        via_arena, rel_a = versioned.matrix_and_relevance(phrases, None)
-        via_vstack, rel_b = unversioned.matrix_and_relevance(phrases, None)
-        assert np.array_equal(via_arena, via_vstack)
-        assert via_arena.dtype == via_vstack.dtype
-        assert np.array_equal(rel_a, rel_b)
-        # the arena extracted each distinct phrase exactly once
-        assert versioned.extractor.extract_calls == 3
-        assert unversioned.extractor.extract_calls == 5
-
-    def test_arena_grows_past_initial_capacity(self):
-        from repro.ranking.model import FeatureAssembler
-
-        assembler = FeatureAssembler(extractor=_FakeExtractor())
-        phrases = ["p%d" % i for i in range(150)]
-        matrix, __ = assembler.matrix_and_relevance(phrases, None)
-        assert matrix.shape == (150, 3)
-        again, __ = assembler.matrix_and_relevance(phrases, None)
-        assert np.array_equal(matrix, again)
-        assert assembler.extractor.extract_calls == 150
-
-    def test_version_change_invalidates_cache(self):
-        from repro.ranking.model import FeatureAssembler
-
-        extractor = _FakeExtractor(version=1)
-        assembler = FeatureAssembler(extractor=extractor)
-        before, __ = assembler.matrix_and_relevance(["alpha"], None)
-        assembler.matrix_and_relevance(["alpha"], None)
-        assert extractor.extract_calls == 1  # memo hit, no re-extraction
-        extractor.feature_version = 2
-        after, __ = assembler.matrix_and_relevance(["alpha"], None)
-        assert extractor.extract_calls == 2  # version bump re-extracts
-        assert np.array_equal(before, after)
-
-
 class TestStemTableBuild:
     def test_flags_and_stems(self):
         terms = ["running", "the", "cuba", "of"]

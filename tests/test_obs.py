@@ -765,3 +765,21 @@ class TestSearchCounters:
             }
         finally:
             set_registry(previous)
+
+    def test_snippet_windows_intersect_each_phrase_once(self):
+        from repro.search import SearchEngine, SnippetService
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            engine = SearchEngine.from_corpus(
+                [(1, "alpha beta gamma"), (2, "beta gamma delta"), (3, "gamma beta")]
+            )
+            snippets = SnippetService(engine, window=2)
+            assert [w.size for w in snippets.windows("beta gamma")] == [2, 2]
+            assert len(snippets.windows("gamma")) == 3
+            assert snippets.windows("missing words") == []
+            snap = get_registry().snapshot()
+            intersections = snap["index_phrase_intersections_total"]["series"]
+            assert intersections[0]["value"] == 3.0
+        finally:
+            set_registry(previous)

@@ -1,12 +1,17 @@
 """Tests for the production runtime: TID stores and the ranker service."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.features import RelevanceModel, RelevanceScorer
-from repro.obs import MetricsRegistry
+from repro.features.interestingness import FEATURE_GROUPS
+from repro.obs import MetricsRegistry, Tracer
 from repro.ranking import RankSVM
 from repro.runtime import (
     MAX_SCORE_CODE,
@@ -16,7 +21,9 @@ from repro.runtime import (
     PackedRelevanceStore,
     QuantizedInterestingnessStore,
     RankerService,
+    load_interestingness_store,
     pack_pair,
+    save_interestingness_store,
     unpack_pair,
 )
 
@@ -145,9 +152,76 @@ class TestQuantizedInterestingnessStore:
             store.extract("missing concept")
 
 
+class TestDequantizedMatrix:
+    """The row-gathered feature matrix equals per-row extraction, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, env_world, env_extractor, tmp_path_factory):
+        built = QuantizedInterestingnessStore.build(
+            env_extractor, [c.phrase for c in env_world.concepts]
+        )
+        path = tmp_path_factory.mktemp("store") / "interestingness.rpak"
+        save_interestingness_store(built, path)
+        return built, load_interestingness_store(path)
+
+    def test_dequantized_rows_are_numeric_of_each_phrase(self, stores):
+        for store in stores:
+            expected = np.vstack(
+                [store.extract(phrase).numeric(()) for phrase in store.phrases()]
+            )
+            assert store.dequantized.tobytes() == expected.tobytes()
+            assert store.dequantized.shape == expected.shape
+            assert not store.dequantized.flags.writeable
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            groups
+            for size in range(len(FEATURE_GROUPS) + 1)
+            for groups in itertools.combinations(FEATURE_GROUPS, size)
+        ],
+    )
+    def test_numeric_rows_match_extract(self, stores, groups):
+        for store in stores:
+            phrases = store.phrases()
+            phrases = phrases[::-1] + phrases[:3]  # any order, repeats
+            expected = np.vstack(
+                [store.extract(phrase).numeric(groups) for phrase in phrases]
+            )
+            gathered = store.numeric_rows(phrases, groups)
+            assert gathered.dtype == expected.dtype
+            assert gathered.shape == expected.shape
+            assert gathered.tobytes() == expected.tobytes()
+
+    def test_unknown_phrase_raises(self, stores):
+        for store in stores:
+            with pytest.raises(KeyError):
+                store.numeric_rows([store.phrases()[0], "missing concept"])
+
+
+def _instance_state(obj):
+    """Every instance attribute's identity, plus the contents of the
+    arrays and containers among them."""
+    state = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            state[name] = (id(value), value.shape, value.tobytes())
+        elif isinstance(value, dict):
+            state[name] = (id(value), [(k, id(v)) for k, v in value.items()])
+        elif isinstance(value, (list, tuple, set)):
+            state[name] = (id(value), [id(item) for item in value])
+        else:
+            state[name] = id(value)
+    return state
+
+
+def _ranked_key(ranked):
+    return [(d.phrase, d.start, d.end, d.kind, d.score) for d in ranked]
+
+
 class TestRankerService:
     @pytest.fixture(scope="class")
-    def service(self, env_world, env_extractor, env_miner, env_pipeline):
+    def parts(self, env_world, env_extractor, env_miner, env_pipeline):
         phrases = [c.phrase for c in env_world.concepts]
         interestingness = QuantizedInterestingnessStore.build(
             env_extractor, phrases
@@ -163,10 +237,74 @@ class TestRankerService:
         y = X[:, 0]
         g = np.repeat(np.arange(8), 5)
         svm.fit(X, y, g)
+        return env_pipeline, interestingness, relevance, svm
+
+    @pytest.fixture(scope="class")
+    def service(self, parts):
+        return RankerService(*parts, registry=MetricsRegistry())
+
+    @staticmethod
+    def _fresh(parts):
         return RankerService(
-            env_pipeline, interestingness, relevance, svm,
-            registry=MetricsRegistry(),
+            *parts, registry=MetricsRegistry(), tracer=Tracer(sample_every=0)
         )
+
+    def test_process_leaves_assembler_and_stores_unchanged(
+        self, parts, env_stories
+    ):
+        service = self._fresh(parts)
+        assembler = service._assembler
+        __, interestingness, relevance, __ = parts
+        watched = (assembler, interestingness, relevance, relevance.tid_table)
+        before = [_instance_state(obj) for obj in watched]
+        ranked = [service.process(story.text) for story in env_stories]
+        assert any(ranked)
+        assert [_instance_state(obj) for obj in watched] == before
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_concurrent_requests_match_sequential(self, parts, env_stories, explain):
+        texts = [story.text for story in env_stories]
+
+        def outcome(result):
+            if not explain:
+                return _ranked_key(result)
+            ranked, explanations = result
+            return _ranked_key(ranked), [e.to_dict() for e in explanations]
+
+        sequential = self._fresh(parts)
+        expected = [outcome(sequential.process(t, explain=explain)) for t in texts]
+        service = self._fresh(parts)  # cold: the threads race from the start
+        threads_count = 8
+        barrier = threading.Barrier(threads_count)
+        results = [None] * threads_count
+        errors = []
+
+        def work(slot):
+            try:
+                barrier.wait(timeout=60)
+                shift = slot * len(texts) // threads_count
+                order = list(range(shift, len(texts))) + list(range(shift))
+                got = {i: outcome(service.process(texts[i], explain=explain)) for i in order}
+                results[slot] = [got[i] for i in range(len(texts))]
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(slot,))
+                for slot in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * threads_count
 
     def test_process_returns_ranked_detections(self, service, env_stories):
         ranked = service.process(env_stories[0].text)

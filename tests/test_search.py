@@ -1,5 +1,10 @@
 """Tests for the inverted index, engine, snippets, Prisma and suggestions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +138,39 @@ class TestSearchEngine:
         assert engine.result_count(concept.phrase) >= engine.phrase_result_count(
             concept.phrase
         )
+
+    def test_free_query_scores_do_not_depend_on_hash_seed(self):
+        # The same queries in two processes whose string hash seeds
+        # differ must score bit-identically: term contributions add up
+        # in query order, not in set order.
+        script = """
+import hashlib
+import numpy as np
+from repro.search import SearchEngine
+rng = np.random.default_rng(5)
+vocabulary = ["q" + "".join(chr(97 + int(d)) for d in "%03d" % i) for i in range(60)]
+documents = [
+    (doc_id, " ".join(rng.choice(vocabulary, size=int(rng.integers(5, 80)))))
+    for doc_id in range(400)
+]
+engine = SearchEngine.from_corpus(documents)
+digest = hashlib.sha256()
+for __ in range(300):
+    query = " ".join(rng.choice(vocabulary, size=int(rng.integers(3, 6))))
+    for result in engine.search(query, limit=50):
+        digest.update(b"%d:%s;" % (result.doc_id, result.score.hex().encode()))
+print(digest.hexdigest())
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_general_concepts_more_results(self, world, engine):
         regular = [c for c in world.concepts if not c.is_junk]
