@@ -13,7 +13,8 @@ This benchmark builds a synthetic relevance model at the paper's shape
 
 * relevance-lookup throughput (lookups/sec) for the seed loop, the
   columnar store, and the Golomb–Rice compressed store,
-* cold-start seconds: v1 eager pack load vs. v2 ``mmap`` zero-copy load,
+* cold-start seconds: one pack loaded eagerly (read into memory) and
+  over ``mmap`` (zero-copy views),
 * resident bytes for the packed and compressed stores,
 * equivalence flags — the vectorized paths must match the seed loop
   *exactly* (same floats), not approximately,
@@ -93,31 +94,6 @@ def seed_score_loop(store, phrase, context):
     return total
 
 
-def seed_style_load(path):
-    """The seed loader shape: eager read, per-phrase array copies.
-
-    Reproduces the seed's ``load_relevance_store`` — full-file read,
-    dense TID re-assign loop, and one ``astype`` copy per concept into a
-    dict of arrays — as the O(corpus) cold-start baseline.
-    """
-    from repro.runtime import GlobalTidTable, read_pack
-    from repro.runtime.datapack import _json_load
-
-    sections = read_pack(path)
-    meta = _json_load(sections["meta"])
-    tid_table = GlobalTidTable()
-    for term in meta["terms"]:
-        tid_table.assign(term)
-    pairs = np.frombuffer(sections["pairs"], dtype="<u4")
-    per_concept = {}
-    for entry in meta["index"]:
-        start = entry["offset"]
-        per_concept[entry["phrase"]] = pairs[
-            start : start + entry["count"]
-        ].astype(np.uint32)
-    return tid_table, meta["score_max"], per_concept
-
-
 def run_store_benchmark(concept_count=CONCEPT_COUNT):
     model = synthetic_model(concept_count)
     packed = PackedRelevanceStore.build(model)
@@ -154,21 +130,16 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
     ]
     compressed_seconds = time.perf_counter() - started
 
-    # -- cold start: seed-style eager load vs v2 mmap load -------------------
+    # -- cold start: eager load vs mmap load of one pack ---------------------
     with tempfile.TemporaryDirectory() as tmp:
-        v1_path = os.path.join(tmp, "relevance_v1.rpak")
-        v2_path = os.path.join(tmp, "relevance_v2.rpak")
-        save_relevance_store(packed, v1_path, version=1)
-        save_relevance_store(packed, v2_path)
+        path = os.path.join(tmp, "relevance.rpak")
+        save_relevance_store(packed, path)
         started = time.perf_counter()
-        seed_style_load(v1_path)
-        seed_load_seconds = time.perf_counter() - started
+        eager = load_relevance_store(path, use_mmap=False)
+        eager_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        eager = load_relevance_store(v1_path, use_mmap=False)
-        v1_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        mapped = load_relevance_store(v2_path, use_mmap=True)
-        v2_seconds = time.perf_counter() - started
+        mapped = load_relevance_store(path, use_mmap=True)
+        mmap_seconds = time.perf_counter() - started
         probe_context = contexts[0]
         mmap_matches = all(
             mapped.score(phrase, probe_context) == packed.score(phrase, probe_context)
@@ -176,7 +147,7 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
             == packed.score(phrase, probe_context)
             for phrase in phrases[:: max(1, len(phrases) // 50)]
         )
-        pack_bytes = os.path.getsize(v2_path)
+        pack_bytes = os.path.getsize(path)
 
     snapshot = {
         "config": {
@@ -194,9 +165,8 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
             "speedup_columnar_vs_seed": round(seed_seconds / columnar_seconds, 2),
         },
         "cold_start": {
-            "seed_style_seconds": round(seed_load_seconds, 5),
-            "v1_eager_seconds": round(v1_seconds, 5),
-            "v2_mmap_seconds": round(v2_seconds, 5),
+            "eager_seconds": round(eager_seconds, 5),
+            "mmap_seconds": round(mmap_seconds, 5),
             "pack_bytes": pack_bytes,
         },
         "resident": {
@@ -240,9 +210,8 @@ def report_lines(snapshot):
         f"({lookup['speedup_columnar_vs_seed']:.1f}x)",
         f"compressed store: "
         f"{lookup['compressed_ops_per_second']:10.0f} ops/s",
-        f"cold start: seed-style {cold['seed_style_seconds'] * 1e3:8.2f} ms, "
-        f"v1 eager {cold['v1_eager_seconds'] * 1e3:8.2f} ms -> "
-        f"v2 mmap {cold['v2_mmap_seconds'] * 1e3:8.2f} ms "
+        f"cold start: eager {cold['eager_seconds'] * 1e3:8.2f} ms, "
+        f"mmap {cold['mmap_seconds'] * 1e3:8.2f} ms "
         f"({cold['pack_bytes'] / 1e6:.2f} MB pack)",
         f"resident: packed {resident['packed_bytes'] / 1e6:.2f} MB, "
         f"compressed {resident['compressed_bytes'] / 1e6:.2f} MB "

@@ -368,15 +368,13 @@ def _build_quick_service(
             str(pack / "interestingness.rpak")
         )
         relevance = load_relevance_store(str(pack / "relevance.rpak"))
-        detection_pack = pack / "detection.rpak"
-        if detection_pack.exists():
-            # a kernel compiled for other inventories fails here, at
-            # load, instead of silently detecting the wrong phrases
-            env.pipeline.attach_kernel(
-                load_detection_kernel(str(detection_pack))
-            )
-            if not quiet:
-                print("  detection kernel: loaded from pack", flush=True)
+        # a kernel compiled for other inventories fails here, at load,
+        # instead of silently detecting the wrong phrases
+        env.pipeline.attach_kernel(
+            load_detection_kernel(str(pack / "detection.rpak"))
+        )
+        if not quiet:
+            print("  detection kernel: loaded from pack", flush=True)
         baseline = load_baseline(pack_dir)
         if baseline is None and not quiet:
             print(
@@ -469,9 +467,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.server import TelemetryServer
 
     registry, tracer = _configure_observability(args)
-    service, quality, drift, __ = _build_quick_service(
-        args, quiet=False, pack_dir=args.pack, with_quality=True
-    )
+    try:
+        service, quality, drift, __ = _build_quick_service(
+            args, quiet=False, pack_dir=args.pack, with_quality=True
+        )
+    except FileNotFoundError as error:
+        # `build-pack` writes every pack file, so a missing one is a
+        # damaged pack, not an older layout to serve around
+        print(f"cannot load pack: {error.filename} is missing", file=sys.stderr)
+        return 1
     server = TelemetryServer(
         service=service,
         registry=registry,

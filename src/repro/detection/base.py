@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from repro.detection.kernel import FlatAutomaton, Phrase, phrase_inventory
+from repro.detection.kernel import (
+    DetectionKernel,
+    Phrase,
+    PhraseMatch,
+    phrase_inventory,
+)
 from repro.text.tokenized import TokenizedDocument
 
 KIND_PATTERN = "pattern"
@@ -102,36 +107,35 @@ class Detection:
 
 
 class PhraseDetector:
-    """A fixed phrase inventory matched by one compiled automaton.
+    """A fixed phrase inventory, matched by a detection kernel's scan.
 
     The shared half of the concept and named-entity detectors.  In a
-    pipeline, matching runs through the view of the pipeline's
-    :class:`~repro.detection.kernel.DetectionKernel` that the pipeline
-    attaches; a detector used on its own compiles an automaton for its
-    inventory on first use.
+    pipeline, the pipeline's
+    :class:`~repro.detection.kernel.DetectionKernel` scans each document
+    once and hands every detector its matches; a detector used on its
+    own scans through a kernel compiled for its inventory alone, on
+    first use.
     """
 
     def __init__(self, phrases: Iterable[Phrase]):
         self._inventory = phrase_inventory(phrases)
-        self._automaton = None
+        self._kernel = None
 
     def inventory(self) -> List[Phrase]:
         """The lower-cased, deduplicated inventory (kernel compilation)."""
         return list(self._inventory)
 
-    def attach_automaton(self, automaton) -> None:
-        """Match through *automaton*: the kernel view the pipeline
-        attaches after checking it against :meth:`inventory`."""
-        self._automaton = automaton
-
-    def find_phrases(
-        self, document: TokenizedDocument
-    ) -> List[Tuple[Phrase, int, int]]:
+    def matches(self, document: TokenizedDocument) -> List[PhraseMatch]:
         """(phrase, char_start, char_end) matches in document order.
 
         Longest match wins at each position and the scan resumes past
         it, so matches never overlap (the production segmentation).
+        The kernel compiled for this inventory holds it as its concept
+        inventory, over a vocabulary of the inventory's own tokens.
         """
-        if self._automaton is None:
-            self._automaton = FlatAutomaton.for_phrases(self._inventory)
-        return self._automaton.find_phrases(document)
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = DetectionKernel.build(
+                concept_phrases=self._inventory
+            )
+        return kernel.scan(document)[0]

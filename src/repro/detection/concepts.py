@@ -14,7 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Set, Tuple
 
-from repro.detection.base import KIND_CONCEPT, Detection, PhraseDetector
+from repro.detection.base import (
+    KIND_CONCEPT,
+    Detection,
+    PhraseDetector,
+    PhraseMatch,
+)
 from repro.querylog.log import QueryLog
 from repro.querylog.units import UnitLexicon
 from repro.text.tokenized import TokenizedDocument
@@ -59,15 +64,18 @@ class ConceptDetector(PhraseDetector):
 
     def detect(self, text: str) -> List[Detection]:
         """All concept occurrences in *text*."""
-        return self.detect_document(TokenizedDocument.of(text))
+        document = TokenizedDocument.of(text)
+        return self.detect_document(document, self.matches(document))
 
-    def detect_document(self, document: TokenizedDocument) -> List[Detection]:
-        """`detect` over a shared token stream (no re-tokenizing)."""
+    def detect_document(
+        self, document: TokenizedDocument, matches: Sequence[PhraseMatch]
+    ) -> List[Detection]:
+        """The detections of *matches*, this detector's scan of *document*."""
         text = document.text
         make = Detection.make
         return [
             make(text[start:end], start, end, KIND_CONCEPT, None, phrase)
-            for phrase, start, end in self.find_phrases(document)
+            for phrase, start, end in matches
         ]
 
     def unit_score(self, phrase: Sequence[str]) -> float:

@@ -9,20 +9,22 @@ built once (offline by the pack builder, or on first use):
   a document is interned to an ``int32`` id exactly once (the id stream
   is cached on the :class:`~repro.text.tokenized.TokenizedDocument`),
   and every downstream kernel consumes ids instead of strings.
-* :class:`StemTable` — vocab id -> (stopword flag, stem string).  The
-  runtime stemmer pass becomes two list indexes per token; the Porter
-  stemmer runs only for out-of-vocabulary words.
+* :class:`StemTable` — vocab id -> (stopword flag, stem string): the
+  relevance context maps interned ids to TIDs through it, so the
+  Porter stemmer runs only for out-of-vocabulary words.
 * :class:`FlatAutomaton` — an Aho–Corasick automaton over token ids
   with dense ``int32`` goto columns (fail transitions pre-resolved into
   the goto table), ``int32`` fail/output-length/output-link columns,
-  and an optional ``float64`` score column per terminal state.  One
-  O(tokens) scan finds every match; the match set is reduced to the
-  leftmost-longest greedy selection (longest match at a position, then
-  resume past it).
+  and an optional ``float64`` score column per terminal state: what a
+  data-pack stores.
+* :class:`CombinedAutomaton` — the one walk over a flat automaton whose
+  terminals carry tag bits.  One O(tokens) scan finds every match; the
+  match set is reduced to the leftmost-longest greedy selection
+  (longest match at a position, then resume past it).
 * :class:`DetectionKernel` — the bundle the pipeline attaches: one
   interner + stem table shared by the concept and named-entity
   automata (fused into one tagged scan) and the unit-segmentation
-  automaton that only the concept-vector baseline scorer reads.
+  automaton that only the concept-vector baseline scorer scans.
 
 The seed-era reference implementations (the per-position phrase walk
 and the per-term vector passes) live in ``tests/reference.py``; the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import threading
 from itertools import repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,9 @@ from repro.text.stopwords import is_stopword
 from repro.text.tokenized import TokenizedDocument
 
 Phrase = Tuple[str, ...]
+# A detector's match: the matched lower-cased words and their
+# (char_start, char_end) surface span in the text.
+PhraseMatch = Tuple[Phrase, int, int]
 
 # Interning-pass counter, mirroring `tokenize_call_count`: the kernel is
 # judged by how many times a document's words are interned (the design
@@ -116,8 +121,8 @@ class StemTable:
     OOV sentinel slot; ``stems[vid]`` is ``stem(term)`` for content
     terms.  Built from the same ``stem``/``is_stopword`` the Python
     stemmer pass uses (or adopted pre-stemmed from a
-    :class:`~repro.text.corpus.TokenizedCorpus`), so the table-driven
-    pass is string-for-string identical.
+    :class:`~repro.text.corpus.TokenizedCorpus`), so the TID context
+    read through it equals the one of the stemmed terms.
     """
 
     FLAG_CONTENT = 0
@@ -155,22 +160,6 @@ class StemTable:
         flags[len(terms)] = cls.FLAG_OOV
         return cls(flags, stems)
 
-    def stemmed_terms(self, words: Sequence[str], ids: Sequence[int]) -> List[str]:
-        """``[stem(w) for w in words if not is_stopword(w)]``, table-driven."""
-        flags = self.flags
-        stems = self.stems
-        out: List[str] = []
-        append = out.append
-        for position, vid in enumerate(ids):
-            flag = flags[vid]
-            if flag == 0:
-                append(stems[vid])
-            elif flag == 2:
-                word = words[position]
-                if not is_stopword(word):
-                    append(stem(word))
-        return out
-
 
 def phrase_inventory(phrases: Iterable[Phrase]) -> List[Phrase]:
     """*phrases* lower-cased and deduplicated, empty phrases dropped,
@@ -186,22 +175,6 @@ def phrase_inventory(phrases: Iterable[Phrase]) -> List[Phrase]:
 def _describe(inventory: Optional[set]) -> str:
     """*inventory*'s size for an error message ("none" when absent)."""
     return "none" if inventory is None else f"{len(inventory)} phrases"
-
-
-class _ScanTables(NamedTuple):
-    """A :class:`FlatAutomaton`'s columns as Python lists.
-
-    The token loops read these: list indexing is ~3x faster than numpy
-    scalar indexing there.  ``fail`` is left out because no loop walks
-    it (``delta`` has it pre-resolved).
-    """
-
-    delta: list
-    sym: list
-    out_len: list
-    emits: list
-    out_next: list
-    out_score: Optional[list]
 
 
 def _state_ints(count: int) -> np.ndarray:
@@ -222,7 +195,8 @@ class FlatAutomaton:
 
     * ``delta``    -- ``int32[S * A]``: the goto table with fail
       transitions pre-resolved (a true DFA row per state).  Symbol 0 is
-      the not-in-alphabet sentinel and always returns to the root.
+      the not-in-alphabet sentinel and always returns to the root, so
+      its column is all 0 (the scan reuses that slot for the emit).
     * ``fail``     -- ``int32[S]``: classic BFS fail links.
     * ``out_len``  -- ``int32[S]``: phrase token-length at terminal
       states, 0 elsewhere.
@@ -240,11 +214,9 @@ class FlatAutomaton:
     The automaton holds its columns as numpy arrays — the ones
     :meth:`compile` builds, or range-checked ``np.frombuffer`` views
     straight off a data-pack — and :meth:`columns` returns them as
-    they are.  The Python lists the token loops index are built on the
-    automaton's first scan, so an automaton that is loaded but never
-    scanned costs only its arrays: in a serving process that is every
-    automaton, because the service scans the :class:`CombinedAutomaton`
-    and only the concept-vector baseline scans the units automaton.
+    they are.  It has no walk of its own: a :class:`CombinedAutomaton`
+    scans it, so one that is loaded but never scanned costs only its
+    arrays.
     """
 
     __slots__ = (
@@ -253,7 +225,6 @@ class FlatAutomaton:
         "state_count",
         "phrase_count",
         "_columns",
-        "_tables",
     )
 
     def __init__(
@@ -279,7 +250,6 @@ class FlatAutomaton:
         }
         if out_score is not None:
             self._columns["out_score"] = out_score
-        self._tables: Optional[_ScanTables] = None
         self.state_count = len(fail)
         self.phrase_count = int(phrase_count)
         if self.state_count:
@@ -288,27 +258,6 @@ class FlatAutomaton:
             self.alphabet_size = 0
         if len(sym) != len(interner) + 1:
             raise ValueError("symbol column does not cover the vocabulary")
-
-    def _scan_tables(self) -> _ScanTables:
-        """The scan tables, built on the first call.
-
-        Published with one assignment, so two threads making the first
-        walk at once can at worst both build them.
-        """
-        tables = self._tables
-        if tables is None:
-            columns = self._columns
-            states = _state_ints(self.state_count)
-            scores = columns.get("out_score")
-            tables = self._tables = _ScanTables(
-                delta=states[columns["delta"]].tolist(),
-                sym=columns["sym"].tolist(),
-                out_len=columns["out_len"].tolist(),
-                emits=states[columns["emits"]].tolist(),
-                out_next=states[columns["out_next"]].tolist(),
-                out_score=None if scores is None else scores.tolist(),
-            )
-        return tables
 
     # -- compilation -----------------------------------------------------
 
@@ -408,18 +357,6 @@ class FlatAutomaton:
             out_score=out_score,
         )
 
-    @classmethod
-    def for_phrases(cls, phrases: Iterable[Phrase]) -> "FlatAutomaton":
-        """Compile *phrases* over a vocabulary of their own tokens.
-
-        What a detector used outside a pipeline matches with: every
-        word no phrase contains interns to the OOV sentinel, which the
-        scan treats like any other non-phrase token.
-        """
-        inventory = phrase_inventory(phrases)
-        terms = sorted({term for phrase in inventory for term in phrase})
-        return cls.compile(inventory, TokenInterner(terms))
-
     # -- serialization ---------------------------------------------------
 
     def columns(self) -> Dict[str, np.ndarray]:
@@ -437,11 +374,11 @@ class FlatAutomaton:
         a fail ancestor), so the only transitions reaching an *unvisited*
         state are the trie edges.  This lets a kernel loaded from flat
         pack columns recover the exact phrase inventories — no extra
-        serialized payload — e.g. to compile the combined scan automaton.
+        serialized payload — e.g. to compile the detector scan.
 
         The BFS runs over the ``delta`` array one level at a time, so it
-        builds no scan tables.  A level's states are found in parent
-        order, then symbol order: the order of a queue BFS.
+        builds no Python lists of the rows.  A level's states are found
+        in parent order, then symbol order: the order of a queue BFS.
         """
         terms = self.interner.terms
         sym = self._columns["sym"]
@@ -481,108 +418,46 @@ class FlatAutomaton:
             level = children
         return pairs
 
-    # -- matching --------------------------------------------------------
 
-    def _scored_starts(self, ids: Sequence[int]) -> Dict[int, tuple]:
-        """start token index -> (longest end, that match's score).
-
-        Ends only grow as the scan advances (every match at position
-        ``p`` ends at ``p + 1``, and one position's output chain has
-        distinct lengths, hence distinct starts), so the last match
-        written for a start is its longest.
-        """
-        delta, sym, out_len, emits, out_next, scores = self._scan_tables()
-        alphabet = self.alphabet_size
-        best: Dict[int, tuple] = {}
-        state = 0
-        for position, vid in enumerate(ids):
-            state = delta[state * alphabet + sym[vid]]
-            terminal = emits[state]
-            while terminal:
-                end = position + 1
-                best[end - out_len[terminal]] = (
-                    end,
-                    scores[terminal] if scores is not None else 0.0,
-                )
-                terminal = out_next[terminal]
-        return best
-
-    def find_token_spans(self, ids: Sequence[int]) -> List[Tuple[int, int]]:
-        """Leftmost-longest non-overlapping token spans.
-
-        Reduces the automaton's full match set with the greedy rule of
-        the production segmentation: take the longest match at the scan
-        position, then resume past it.
-        """
-        return [(s, e) for s, e, __ in self.find_scored_spans(ids)]
-
-    def find_scored_spans(
-        self, ids: Sequence[int]
-    ) -> List[Tuple[int, int, float]]:
-        """`find_token_spans` plus each span's terminal score column."""
-        best = self._scored_starts(ids)
-        if not best:
-            return []
-        spans: List[Tuple[int, int, float]] = []
-        cursor = 0
-        for start in sorted(best):
-            if start >= cursor:
-                end, score = best[start]
-                spans.append((start, end, score))
-                cursor = end
-        return spans
-
-    def find_phrases(
-        self, document: TokenizedDocument
-    ) -> List[Tuple[Phrase, int, int]]:
-        """(phrase, char_start, char_end) matches, document order.
-
-        The detectors' matching protocol: phrases are the matched
-        (lower-cased) words, offsets the surface span in the text.
-        """
-        ids = document.token_ids(self.interner)
-        spans = self.find_token_spans(ids)
-        if not spans:
-            return []
-        words = document.words
-        starts = document.word_starts
-        ends = document.word_ends
-        return [
-            (tuple(words[s:e]), starts[s], ends[e - 1]) for s, e in spans
-        ]
-
-
+# A terminal's tag bits say which of a scan's two match maps its phrase
+# goes to: bit 1 the first, bit 2 the second.  The detector scan tags
+# concept phrases 1 and named phrases 2 (a phrase in both inventories
+# carries both); the units scan tags every unit 1.
 TAG_CONCEPTS = 1
 TAG_NAMED = 2
+TAG_UNITS = 1
 
 
 class CombinedAutomaton:
-    """The concept and named-entity inventories fused into one tagged scan.
+    """The one Aho–Corasick walk: a flat automaton with tagged terminals.
 
-    Per-detector scans each pay a full pass over the document's id
-    stream; fusing them into a single automaton over the *union*
-    inventory makes the per-token work one delta step and one output
-    probe total.  Each terminal state carries a tag bitmask saying which
-    detectors own that phrase, so one pass yields both per-detector
-    ``{start: longest end}`` maps — per tag these hold exactly the ends
-    the individual automatons' ``_scored_starts`` would compute (same
-    match sets), so downstream greedy reductions are unchanged.
+    Every scan of a :class:`DetectionKernel` is one of these.  The
+    detector scan fuses the concept and named-entity inventories into
+    one automaton over their union, so the two detectors together cost
+    one delta step and one output probe per token; each terminal's tag
+    bitmask says which detectors own its phrase.  The units scan walks
+    the unit automaton as it is (:meth:`of`).  The units stay out of
+    the fusion: only the concept-vector baseline segments units, so
+    serving neither compiles nor walks the far larger three-inventory
+    table.
 
-    The unit lexicon is deliberately left out: only the concept-vector
-    baseline segments units, and it scans the unit automaton on its
-    own, so serving neither compiles nor walks the far larger
-    three-inventory table.
+    :meth:`scan` records, per tag and start token, the terminal of the
+    longest match there: its end is ``start + out_len[terminal]`` and,
+    for a scored automaton, its score ``out_score[terminal]``.
+    :meth:`spans` reduces that to the leftmost-longest selection.
 
-    Built in :class:`DetectionKernel.__init__` from the per-detector
-    automatons' reconstructed inventories (:meth:`FlatAutomaton.
-    phrase_states`); it is derived state, never serialized, so data-pack
-    bytes are untouched.  Its scan lists are built from the base's
-    columns; the base's own scan tables are never built.
+    Derived state, never serialized: the kernel compiles its detector
+    scan from the inventories its automata's columns hold
+    (:meth:`FlatAutomaton.phrase_states`), so data-pack bytes are
+    untouched.  The token loop indexes Python lists built from the
+    base's columns, because list indexing beats numpy scalar indexing
+    there.
     """
 
     __slots__ = (
         "base",
         "tags",
+        "out_score",
         "_delta_pm",
         "_out_len",
         "_out_next",
@@ -610,6 +485,8 @@ class CombinedAutomaton:
         self._out_len = columns["out_len"].tolist()
         self._out_next = states[columns["out_next"]].tolist()
         self._sym_array = columns["sym"]
+        scores = columns.get("out_score")
+        self.out_score = None if scores is None else scores.tolist()
 
     @classmethod
     def compile(
@@ -626,16 +503,22 @@ class CombinedAutomaton:
             tags[terminal] = tag_of[phrase]
         return cls(base, tags)
 
+    @classmethod
+    def of(cls, automaton: FlatAutomaton, tag: int) -> "CombinedAutomaton":
+        """The scan of *automaton* alone, every terminal tagged *tag*."""
+        return cls(automaton, (automaton.columns()["out_len"] > 0) * tag)
+
     def scan(
         self, ids: Sequence[int]
     ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """One pass over *ids* -> (concepts, named) ``{start: end}`` maps.
+        """One pass over *ids* -> ``{start: terminal}`` per tag bit (1, 2).
 
         Symbol 0 (not in any phrase) always transitions to the root and
         the root emits nothing, so only the tokens with a nonzero symbol
         need walking: the state resets to the root wherever the nonzero
         positions are not contiguous.  Ends only grow as the scan
-        advances, so the last end written for a start is its longest.
+        advances, so the last terminal written for a start is its
+        longest match.
         """
         delta = self._delta_pm
         out_len = self._out_len
@@ -645,69 +528,44 @@ class CombinedAutomaton:
             ids = np.asarray(ids, dtype=np.int32)
         symbols = self._sym_array[ids]
         positions = symbols.nonzero()[0]
-        best_concepts: Dict[int, int] = {}
-        best_named: Dict[int, int] = {}
+        first: Dict[int, int] = {}
+        second: Dict[int, int] = {}
         state = 0  # pre-multiplied row base
-        previous = -2
+        end = -1  # one past the previous walked position
         for position, symbol in zip(
             positions.tolist(), symbols[positions].tolist()
         ):
-            if position != previous + 1:
+            if position != end:
                 state = 0
-            previous = position
+            end = position + 1
             state = delta[state + symbol]
             terminal = delta[state]  # the symbol-0 slot: the state's emit
             while terminal:
-                end = position + 1
                 start = end - out_len[terminal]
                 tag = tags[terminal]
-                if tag & TAG_CONCEPTS:
-                    best_concepts[start] = end
-                if tag & TAG_NAMED:
-                    best_named[start] = end
+                if tag & 1:
+                    first[start] = terminal
+                if tag & 2:
+                    second[start] = terminal
                 terminal = out_next[terminal]
-        return best_concepts, best_named
+        return first, second
 
+    def spans(self, best: Dict[int, int]) -> List[Tuple[int, int, int]]:
+        """One :meth:`scan` map reduced to ``(start, end, terminal)`` spans.
 
-class TaggedPhraseView:
-    """One detector's matches, read off the kernel's shared combined scan.
-
-    What the pipeline attaches to a detector: ``find_phrases`` resolves
-    the detector's matches from the kernel's cached per-document
-    combined scan, so the concept and named detectors together trigger
-    a single pass.  Falls back to the detector's own automaton when the
-    kernel has no combined automaton (only one of the two inventories).
-    """
-
-    __slots__ = ("_kernel", "_slot", "automaton")
-
-    def __init__(self, kernel: "DetectionKernel", slot: int, automaton):
-        self._kernel = kernel
-        self._slot = slot
-        self.automaton = automaton
-
-    def find_phrases(
-        self, document: TokenizedDocument
-    ) -> List[Tuple[Phrase, int, int]]:
-        kernel = self._kernel
-        if kernel._combined is None:
-            return self.automaton.find_phrases(document)
-        best = kernel.scan(document)[self._slot]
-        if not best:
-            return []
-        words = document.words
-        starts = document.word_starts
-        ends = document.word_ends
-        out: List[Tuple[Phrase, int, int]] = []
+        The production segmentation's greedy rule: take the longest
+        match at the scan position, then resume past it, so the spans
+        are leftmost-longest and never overlap.
+        """
+        out_len = self._out_len
+        spans: List[Tuple[int, int, int]] = []
         cursor = 0
         for start in sorted(best):
             if start >= cursor:
-                end = best[start]
-                out.append(
-                    (tuple(words[start:end]), starts[start], ends[end - 1])
-                )
-                cursor = end
-        return out
+                terminal = best[start]
+                cursor = start + out_len[terminal]
+                spans.append((start, cursor, terminal))
+        return spans
 
 
 class DetectionKernel:
@@ -724,12 +582,15 @@ class DetectionKernel:
       word can never be a unit).
 
     ``concepts`` and ``named`` are fused into one
-    :class:`CombinedAutomaton` scan (detection); ``units`` is scanned
-    on its own, and only by the concept-vector baseline
-    (:meth:`unit_weights`), so its scan tables are built on the
+    :class:`CombinedAutomaton`, the detector scan (:meth:`scan`),
+    compiled at construction; a missing inventory scans as empty.
+    ``units`` is scanned on its own, and only by the concept-vector
+    baseline (:meth:`unit_weights`), so its scan is built on the
     baseline's first document.  A kernel with neither detector automaton
     (``DetectionKernel.build(lexicon=...)``) is what a concept-vector
-    scorer used outside a pipeline compiles for itself.
+    scorer used outside a pipeline compiles for itself; one with a
+    single detector inventory, what a detector used outside a pipeline
+    does.
     """
 
     def __init__(
@@ -774,38 +635,15 @@ class DetectionKernel:
             )
             for name, automaton in (("concepts", concepts), ("named", named))
         }
-        # Fuse the two detector inventories into one tagged scan (with
-        # a single automaton there is nothing to share).
-        self._combined = (
-            CombinedAutomaton.compile(
-                interner,
-                [
-                    (self.inventories["concepts"], TAG_CONCEPTS),
-                    (self.inventories["named"], TAG_NAMED),
-                ],
-            )
-            if concepts is not None and named is not None
-            else None
+        # Fuse the two detector inventories into one tagged scan.
+        self._detector_scan = CombinedAutomaton.compile(
+            interner,
+            [
+                (self.inventories["concepts"] or (), TAG_CONCEPTS),
+                (self.inventories["named"] or (), TAG_NAMED),
+            ],
         )
-
-    # The views are made on request, not kept: a view references its
-    # kernel, so a kept one would make a reference cycle, and a released
-    # kernel (with its units columns) would stay resident until the
-    # next full garbage collection instead of going with its pipeline.
-
-    @property
-    def concepts_view(self) -> Optional[TaggedPhraseView]:
-        """The concept detector's view of the combined scan."""
-        if self.concepts is None:
-            return None
-        return TaggedPhraseView(self, 0, self.concepts)
-
-    @property
-    def named_view(self) -> Optional[TaggedPhraseView]:
-        """The named-entity detector's view of the combined scan."""
-        if self.named is None:
-            return None
-        return TaggedPhraseView(self, 1, self.named)
+        self._units_scan: Optional[CombinedAutomaton] = None
 
     @classmethod
     def build(
@@ -914,38 +752,40 @@ class DetectionKernel:
 
     # -- per-document kernels --------------------------------------------
 
-    def scan(self, document: TokenizedDocument) -> Tuple[dict, dict]:
-        """The document's combined-scan result, computed at most once.
+    def scan(
+        self, document: TokenizedDocument
+    ) -> Tuple[List[PhraseMatch], List[PhraseMatch]]:
+        """The detector scan: (concept matches, named matches).
 
-        Cached on the document, so the concept detector and the named
-        detector share one pass over the id stream.  Only valid when a
-        combined automaton exists.
+        One pass over the document's id stream serves both detectors.
+        Each list is ``(phrase, char_start, char_end)`` matches in
+        document order, leftmost-longest, never overlapping.
         """
-        cached = document._kernel_scan
-        if cached is not None and cached[0] is self:
-            return cached[1]
-        result = self._combined.scan(document.token_id_array(self.interner))
-        document._kernel_scan = (self, result)
-        return result
+        automaton = self._detector_scan
+        found = automaton.scan(document.token_id_array(self.interner))
+        words = document.words
+        starts = document.word_starts
+        ends = document.word_ends
+        concepts, named = (
+            [
+                (tuple(words[start:end]), starts[start], ends[end - 1])
+                for start, end, __ in automaton.spans(best)
+            ]
+            for best in found
+        )
+        return concepts, named
 
     def stem_document(self, document: TokenizedDocument) -> TokenizedDocument:
         """The stemmer pass: stamp the kernel and intern the document.
 
-        The interned id view is computed here (the stage's real work);
-        the stem *strings* stay lazy — with the kernel stamped,
-        ``document.stemmed_terms`` materializes through the stem table
-        if a consumer asks, and the relevance context usually bypasses
-        stem strings entirely via :meth:`tid_context`.
+        The interned id view is computed here (the stage's real work).
+        No stem strings are made: with the kernel stamped, the relevance
+        context maps the ids to TIDs through the stem table
+        (:meth:`tid_context`).
         """
         document._kernel = self
         document.token_ids(self.interner)
         return document
-
-    def stemmed_document_terms(self, document: TokenizedDocument) -> List[str]:
-        """Table-driven ``stemmed_terms`` for *document* (uncached)."""
-        return self.stem_table.stemmed_terms(
-            document.words, document.token_ids(self.interner)
-        )
 
     def tid_context(self, document: TokenizedDocument, tid_table) -> np.ndarray:
         """Sorted unique TID array of the document's stemmed content terms.
@@ -1112,17 +952,27 @@ class DetectionKernel:
         """Greedy unit-segmentation weights (the unit-vector pass).
 
         Reproduces ``UnitLexicon.segment`` + scoring: multi-term units
-        come from the unit automaton's leftmost-longest spans (score in
-        the automaton's score column), every uncovered word is a
-        singleton segment scored by the single-unit column.  Weight
-        insertion order is document order, like the seed loop.  Only
-        the concept-vector baseline calls this; detection never scans
-        the unit automaton.
+        come from the units scan's leftmost-longest spans (score in the
+        automaton's score column), every uncovered word is a singleton
+        segment scored by the single-unit column.  Weight insertion
+        order is document order, like the seed loop.  Only the
+        concept-vector baseline calls this, so the units scan is built
+        on the first call; detection never scans the unit automaton.
         """
         ids = document.token_ids(self.interner)
-        spans = (
-            self.units.find_scored_spans(ids) if self.units is not None else []
-        )
+        spans: List[Tuple[int, int, int]] = []
+        if self.units is not None:
+            automaton = self._units_scan
+            if automaton is None:
+                # published with one assignment: two threads making the
+                # first call at once can at worst both build it
+                automaton = self._units_scan = CombinedAutomaton.of(
+                    self.units, TAG_UNITS
+                )
+            spans = automaton.spans(
+                automaton.scan(document.token_id_array(self.interner))[0]
+            )
+            scores = automaton.out_score
         words = document.words
         singles = self.unit_single_scores
         weights: Dict[str, float] = {}
@@ -1139,7 +989,7 @@ class DetectionKernel:
         ).nonzero()[0].tolist()
         count = len(candidates)
         index = 0
-        for start, end, score in spans:
+        for start, end, terminal in spans:
             while index < count:
                 position = candidates[index]
                 if position >= start:
@@ -1148,6 +998,7 @@ class DetectionKernel:
                 word = words[position]
                 if word not in weights:
                     weights[word] = singles[ids[position]]
+            score = scores[terminal]
             if score > 0.0:
                 phrase = " ".join(words[start:end])
                 if phrase not in weights:

@@ -16,10 +16,15 @@ probes — no `lookup`/`is_ambiguous` calls on the hot path.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.corpus.dictionaries import EditorialDictionary
-from repro.detection.base import KIND_NAMED, Detection, PhraseDetector
+from repro.detection.base import (
+    KIND_NAMED,
+    Detection,
+    PhraseDetector,
+    PhraseMatch,
+)
 from repro.text.tokenized import TokenizedDocument
 
 
@@ -70,12 +75,14 @@ class NamedEntityDetector(PhraseDetector):
 
     def detect(self, text: str) -> List[Detection]:
         """All dictionary entities in *text* with resolved types."""
-        return self.detect_document(TokenizedDocument.of(text))
+        document = TokenizedDocument.of(text)
+        return self.detect_document(document, self.matches(document))
 
-    def detect_document(self, document: TokenizedDocument) -> List[Detection]:
-        """`detect` over a shared token stream (no re-tokenizing)."""
+    def detect_document(
+        self, document: TokenizedDocument, matches: Sequence[PhraseMatch]
+    ) -> List[Detection]:
+        """The detections of *matches*, this detector's scan of *document*."""
         text = document.text
-        matches = self.find_phrases(document)
         if not matches:
             return []
         records = self._records

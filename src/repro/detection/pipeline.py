@@ -107,9 +107,9 @@ class ShortcutsPipeline:
     """End-to-end detection: HTML -> candidates with baseline scores.
 
     Every document runs through one compiled
-    :class:`~repro.detection.kernel.DetectionKernel`: its stem table is
-    the stemmer pass, its fused automaton scan feeds both phrase
-    detectors, and its id-space passes build the concept vector.
+    :class:`~repro.detection.kernel.DetectionKernel`: it interns the
+    document for the stemmer pass, its one detector scan feeds both
+    phrase detectors, and its id-space passes build the concept vector.
     *kernel* attaches a prebuilt kernel (typically loaded from a data
     pack), which must have been compiled for the detectors'
     inventories; with None the pipeline compiles one from its live
@@ -173,11 +173,6 @@ class ShortcutsPipeline:
             self._concepts.inventory(),
             self._named.inventory() if self._named is not None else None,
         )
-        # The views route matching through the kernel's shared combined
-        # scan (one pass serves both detectors).
-        self._concepts.attach_automaton(kernel.concepts_view)
-        if self._named is not None:
-            self._named.attach_automaton(kernel.named_view)
         self._scorer.attach_kernel(kernel)
         self._kernel = kernel
 
@@ -190,9 +185,9 @@ class ShortcutsPipeline:
         """The stemmer pass for *document*, off the kernel's stem table.
 
         This is the runtime service's stemmer stage: it interns the
-        document and stamps the kernel on it, so its stemmed view comes
-        from the precomputed vocab->stem table (Porter only for OOV
-        words).
+        document and stamps the kernel on it, so the relevance context
+        maps its ids to TIDs through the precomputed vocab->stem table
+        (Porter only for OOV words).
         """
         return self._ensure_kernel().stem_document(document)
 
@@ -217,14 +212,16 @@ class ShortcutsPipeline:
         a caller that rescores every detection (the runtime ranker)
         skips the baseline's term weights, unit segmentation and merge.
         """
-        self._ensure_kernel()
+        kernel = self._ensure_kernel()
         text = document.text
 
         candidates: List[Detection] = []
         candidates.extend(self._patterns.detect(text))
+        # one scan serves both phrase detectors
+        concepts, named = kernel.scan(document)
         if self._named is not None:
-            candidates.extend(self._named.detect_document(document))
-        candidates.extend(self._concepts.detect_document(document))
+            candidates.extend(self._named.detect_document(document, named))
+        candidates.extend(self._concepts.detect_document(document, concepts))
 
         resolved = deduplicate(resolve_collisions(candidates))
         if score:

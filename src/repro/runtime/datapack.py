@@ -9,13 +9,13 @@ trained :class:`~repro.ranking.ranksvm.RankSVM`.
 
 Container format: ``RPAK`` magic, u16 version, u32 section count, then
 per section a length-prefixed UTF-8 name and a u64-length payload.  All
-integers little-endian.  Version 2 additionally zero-pads so every
-payload begins on an 8-byte boundary, which lets ``np.frombuffer``
-view binary sections in place — :class:`MappedPack` opens a pack over
-``mmap`` and the store loaders adopt the arena/matrix columns as
-zero-copy views, so cold start is O(index), not O(corpus).  Version 1
-packs (per-phrase blob index, dense TID term list) still load.  No
-pickle — packs are safe to load from untrusted storage.
+integers little-endian.  Every payload is zero-padded to begin on an
+8-byte boundary, which lets ``np.frombuffer`` view binary sections in
+place — :class:`MappedPack` opens a pack over ``mmap`` and the store
+loaders adopt the arena/matrix columns as zero-copy views, so cold
+start is O(index), not O(corpus).  Version 2 is the only version; a
+version-1 pack (unaligned, per-phrase blob index) raises ``ValueError``.
+No pickle — packs are safe to load from untrusted storage.
 """
 
 from __future__ import annotations
@@ -51,15 +51,11 @@ PathLike = Union[str, Path]
 # -- container ----------------------------------------------------------------
 
 
-def write_pack(
-    path: PathLike, sections: Dict[str, bytes], version: int = _VERSION
-) -> None:
+def write_pack(path: PathLike, sections: Dict[str, bytes]) -> None:
     """Write a sectioned binary pack to *path*."""
-    if version not in (1, 2):
-        raise ValueError(f"unsupported data-pack version {version}")
     with open(path, "wb") as handle:
         handle.write(_MAGIC)
-        handle.write(struct.pack("<HI", version, len(sections)))
+        handle.write(struct.pack("<HI", _VERSION, len(sections)))
         position = _HEADER
         for name, payload in sections.items():
             encoded = name.encode("utf-8")
@@ -67,10 +63,9 @@ def write_pack(
             handle.write(encoded)
             handle.write(struct.pack("<Q", len(payload)))
             position += 2 + len(encoded) + 8
-            if version >= 2:
-                padding = (-position) % _ALIGN
-                handle.write(b"\x00" * padding)
-                position += padding
+            padding = (-position) % _ALIGN
+            handle.write(b"\x00" * padding)
+            position += padding
             handle.write(payload)
             position += len(payload)
 
@@ -84,7 +79,7 @@ def _iter_sections(buffer) -> Iterator[Tuple[str, Tuple[int, int]]]:
     if len(buffer) < _HEADER:
         raise ValueError("truncated data-pack")
     version, count = struct.unpack_from("<HI", buffer, len(_MAGIC))
-    if version not in (1, 2):
+    if version != _VERSION:
         raise ValueError(f"unsupported data-pack version {version}")
     position = _HEADER
     for __ in range(count):
@@ -98,8 +93,7 @@ def _iter_sections(buffer) -> Iterator[Tuple[str, Tuple[int, int]]]:
         position += name_length
         (payload_length,) = struct.unpack_from("<Q", buffer, position)
         position += 8
-        if version >= 2:
-            position += (-position) % _ALIGN
+        position += (-position) % _ALIGN
         if position + payload_length > len(buffer):
             raise ValueError("truncated data-pack")
         yield name, (position, payload_length)
@@ -253,19 +247,12 @@ def load_interestingness_store(
 # -- relevance store ------------------------------------------------------------
 
 
-def save_relevance_store(
-    store: PackedRelevanceStore, path: PathLike, version: int = _VERSION
-) -> None:
+def save_relevance_store(store: PackedRelevanceStore, path: PathLike) -> None:
     """Persist a packed relevance store with its Global TID table.
 
-    Version 2 (default) writes the columnar arena: one aligned pairs
-    column plus an offsets column, loadable as zero-copy views.
-    Version 1 writes the legacy per-phrase blob layout for
-    compatibility/benchmark comparisons.
+    The columnar arena: one aligned pairs column plus an offsets
+    column, loadable as zero-copy views.
     """
-    if version == 1:
-        _save_relevance_store_v1(store, path)
-        return
     arena = store.arena()
     # dense tables serialize as a TID-ordered term list (half the JSON,
     # fast dict rebuild); sparse tables fall back to (term, TID) pairs
@@ -289,61 +276,24 @@ def save_relevance_store(
     )
 
 
-def _save_relevance_store_v1(store: PackedRelevanceStore, path: PathLike) -> None:
-    """The seed layout: JSON per-phrase index + dense TID term list."""
-    tid_table = store.tid_table
-    terms: List = [None] * len(tid_table)
-    for term, tid in tid_table.items():
-        terms[tid] = term
-    index = []
-    blobs = []
-    offset = 0
-    for phrase in sorted(store.phrases()):
-        packed = store.packed(phrase)
-        index.append({"phrase": phrase, "offset": offset, "count": int(packed.size)})
-        blobs.append(packed.astype("<u4").tobytes())
-        offset += int(packed.size)
-    write_pack(
-        path,
-        {
-            "kind": b"relevance",
-            "meta": _json_bytes(
-                {"score_max": store.score_max, "terms": terms, "index": index}
-            ),
-            "pairs": b"".join(blobs),
-        },
-        version=1,
-    )
-
-
 def load_relevance_store(
     path: PathLike, use_mmap: bool = True
 ) -> PackedRelevanceStore:
-    """Load a relevance store; v2 packs adopt the arena as mapped views."""
+    """Load a relevance store; a mapped load adopts the arena as views."""
     sections, backing = _sections_of(path, use_mmap)
     if _kind_of(sections) != b"relevance":
         raise ValueError("pack does not contain a relevance store")
     meta = _json_load(sections["meta"])
-    pairs = np.frombuffer(sections["pairs"], dtype="<u4")
-    if "offsets" in sections:  # v2 columnar layout
-        terms = meta["terms"]
-        if terms and isinstance(terms[0], list):  # sparse (term, TID) pairs
-            tid_table = GlobalTidTable.from_items(terms)
-        else:
-            tid_table = GlobalTidTable.from_dense_terms(terms)
-        offsets = np.frombuffer(sections["offsets"], dtype="<i8")
-        arena = PhraseArena(pairs, offsets, meta["phrases"])
-    else:  # v1 legacy per-phrase index (dense term list)
-        tid_table = GlobalTidTable()
-        for term in meta["terms"]:
-            tid_table.assign(term)
-        phrases = [entry["phrase"] for entry in meta["index"]]
-        offsets = np.zeros(len(phrases) + 1, dtype=np.int64)
-        for row, entry in enumerate(meta["index"]):
-            if entry["offset"] != int(offsets[row]):
-                raise ValueError("non-contiguous v1 relevance index")
-            offsets[row + 1] = entry["offset"] + entry["count"]
-        arena = PhraseArena(pairs, offsets, phrases)
+    terms = meta["terms"]
+    if terms and isinstance(terms[0], list):  # sparse (term, TID) pairs
+        tid_table = GlobalTidTable.from_items(terms)
+    else:
+        tid_table = GlobalTidTable.from_dense_terms(terms)
+    arena = PhraseArena(
+        np.frombuffer(sections["pairs"], dtype="<u4"),
+        np.frombuffer(sections["offsets"], dtype="<i8"),
+        meta["phrases"],
+    )
     return PackedRelevanceStore(
         tid_table, meta["score_max"], arena, backing=backing
     )
@@ -357,7 +307,7 @@ _AUTOMATON_COLUMNS = ("delta", "fail", "out_len", "emits", "out_next", "sym")
 def save_detection_kernel(kernel, path: PathLike) -> None:
     """Persist a compiled :class:`~repro.detection.kernel.DetectionKernel`.
 
-    Layout (v2, so every column is 8-byte aligned for zero-copy views):
+    Layout (every column 8-byte aligned for zero-copy views):
     one ``<i4`` section per automaton column under a ``concepts_`` /
     ``named_`` / ``units_`` prefix (plus ``<f8`` ``units_out_score``),
     the ``<u1`` stem-flags column, the ``<f8`` single-term unit scores,
@@ -420,10 +370,12 @@ def _check_automaton_columns(
     states (``delta``/``fail``/``emits``/``out_next``, and ``out_len``,
     a phrase length, which a trie of ``S`` states keeps below ``S``) in
     ``[0, S)``, symbols in ``[0, A)``, and a score column must be
-    finite.  A flipped entry would otherwise load cleanly and
-    mis-detect, or raise mid-scan once the scan tables are built from
-    it.  One vectorized min/max per column keeps the check far below
-    the load itself.
+    finite.  ``delta``'s symbol-0 entries must all be 0: symbol 0 is a
+    token in no phrase, which returns to the root, and the scan never
+    steps on it but keeps each state's emit in that slot.  A flipped
+    entry would otherwise load cleanly and mis-detect, or raise
+    mid-scan.  One vectorized min/max per column keeps the check far
+    below the load itself.
     """
     states = len(columns["fail"])
     delta = columns["delta"]
@@ -432,6 +384,11 @@ def _check_automaton_columns(
         raise ValueError(
             f"damaged detection pack: {prefix}_delta holds {len(delta)} "
             f"entries, not a whole number of rows for {states} states"
+        )
+    if delta[::alphabet].any():
+        raise ValueError(
+            f"damaged detection pack: {prefix}_delta has a nonzero "
+            f"symbol-0 entry (a token in no phrase must return to the root)"
         )
     _check_covers_vocab(f"{prefix}_sym", len(columns["sym"]), vocab_size)
     for column in ("out_len", "emits", "out_next", "out_score"):
@@ -491,15 +448,15 @@ def _check_stem_columns(
 def load_detection_kernel(path: PathLike):
     """Load a compiled detection kernel pack.
 
-    The flat columns are viewed with ``np.frombuffer`` (the v2 8-byte
+    The flat columns are viewed with ``np.frombuffer`` (the 8-byte
     alignment makes that valid in place), range-checked, and held by
-    the automata as they are; each automaton builds its Python scan
-    tables on its first walk, so the units automaton, which only the
-    concept-vector baseline scans, costs a serving process only its
-    arrays.  The pack is read eagerly rather than kept mapped: the
-    kept views hold their section's bytes, not the file.  A column
-    whose lengths or values cannot come from a compiled kernel raises
-    ``ValueError`` naming its section.
+    the automata as they are.  The kernel compiles its detector scan
+    from the concept and named columns; the units scan is built on the
+    concept-vector baseline's first document, so the units automaton
+    costs a serving process only its arrays.  The pack is read eagerly
+    rather than kept mapped: the kept views hold their section's bytes,
+    not the file.  A column whose lengths or values cannot come from a
+    compiled kernel raises ``ValueError`` naming its section.
     """
     from repro.detection.kernel import (
         DetectionKernel,

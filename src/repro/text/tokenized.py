@@ -13,7 +13,7 @@ The word views (``words``/``word_starts``/``word_ends``) come from one
 :func:`~repro.text.tokenizer.word_spans` call.  The compiled detection
 kernels additionally share one interned token-id view per document
 (:meth:`token_ids` / :meth:`token_id_array`), cached against the
-kernel's interner so the stemmer table, both automata, and the
+kernel's interner so the stemmer pass, the detector scan, and the
 concept-vector scorer intern each document once.
 
 Every string-based entry point in the pipeline remains available as a
@@ -55,7 +55,6 @@ class TokenizedDocument:
         "_token_ids",
         "_token_id_array",
         "_kernel",
-        "_kernel_scan",
     )
 
     def __init__(self, text: str):
@@ -68,12 +67,9 @@ class TokenizedDocument:
         self._interner = None
         self._token_ids: Optional[List[int]] = None
         self._token_id_array = None
-        # Stamped by DetectionKernel.stem_document: downstream stages
-        # (stemmed view, relevance TID context) then run table-driven.
+        # Stamped by DetectionKernel.stem_document: the relevance TID
+        # context then runs table-driven.
         self._kernel = None
-        # (kernel, result) of the kernel's combined automaton scan —
-        # the three detector consumers share one pass per document.
-        self._kernel_scan = None
 
     @classmethod
     def of(cls, source: Union[str, "TokenizedDocument"]) -> "TokenizedDocument":
@@ -106,21 +102,11 @@ class TokenizedDocument:
 
     @property
     def stemmed_terms(self) -> List[str]:
-        """Stemmed, stopword-free content terms (the Stemmer pass).
-
-        With a detection kernel stamped on the document the view comes
-        from the kernel's precomputed stem table (string-for-string
-        identical, Porter only for OOV words); otherwise it is the
-        per-word Porter pass.
-        """
+        """Stemmed, stopword-free content terms (the per-word Porter pass)."""
         if self._stemmed_terms is None:
-            kernel = self._kernel
-            if kernel is not None:
-                self._stemmed_terms = kernel.stemmed_document_terms(self)
-            else:
-                self._stemmed_terms = [
-                    stem(word) for word in self.words if not is_stopword(word)
-                ]
+            self._stemmed_terms = [
+                stem(word) for word in self.words if not is_stopword(word)
+            ]
         return self._stemmed_terms
 
     @property

@@ -16,6 +16,8 @@ production paths against them:
 
 * :func:`seed_matcher_find` — the seed phrase matcher (first-term
   candidate lists, longest-first, resume past each match);
+* :func:`longest_match_ends` — the full match set before that greedy
+  reduction: the end of the longest phrase starting at each word;
 * :func:`term_vector` / :func:`unit_weights` / :func:`unit_vector` —
   the concept-vector baseline's two component vectors computed per
   term, as the seed scorer did;
@@ -283,6 +285,20 @@ def seed_matcher_find(phrases, text):
         matches.append((matched, start, end))
         index += len(matched)
     return matches
+
+
+def longest_match_ends(phrases, words: Sequence[str]) -> Dict[int, int]:
+    """start -> end of the longest phrase of *phrases* that starts at
+    word *start* of *words*, for every start where one does."""
+    inventory = set(phrase_inventory(phrases))
+    longest = max((len(phrase) for phrase in inventory), default=0)
+    ends: Dict[int, int] = {}
+    for start in range(len(words)):
+        for size in range(min(longest, len(words) - start), 0, -1):
+            if tuple(words[start : start + size]) in inventory:
+                ends[start] = start + size
+                break
+    return ends
 
 
 def term_vector(scorer, tokens: Sequence[str]) -> TermVector:

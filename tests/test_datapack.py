@@ -146,15 +146,17 @@ class TestRelevanceStorePersistence:
         assert loaded.score("extremes", both) == store.score("extremes", both)
         assert loaded.score("extremes", both) == 64.0
 
-    def test_v1_pack_still_loads(self, tmp_path):
-        store = self.make_store()
+    def test_v1_header_rejected(self, tmp_path):
+        """Version 2 is the only layout: a pack whose header says 1 (the
+        unaligned per-phrase index) fails at load, eager or mapped."""
         path = tmp_path / "legacy.rpak"
-        save_relevance_store(store, path, version=1)
-        loaded = load_relevance_store(path)
-        text = "climat carbon trade today"
-        for phrase in ("global warming", "stock market"):
-            assert loaded.score_text(phrase, text) == store.score_text(phrase, text)
-        assert loaded.memory_bytes() == store.memory_bytes()
+        save_relevance_store(self.make_store(), path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")  # the u16 after the magic
+        path.write_bytes(bytes(data))
+        for use_mmap in (True, False):
+            with pytest.raises(ValueError, match="version 1"):
+                load_relevance_store(path, use_mmap=use_mmap)
 
     def test_mmap_load_is_zero_copy(self, tmp_path):
         store = self.make_store()

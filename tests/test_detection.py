@@ -28,7 +28,7 @@ _PATTERN_PIECES = [
 
 def find(phrases, text):
     """(phrase, start, end) matches of *phrases* in *text*."""
-    return PhraseDetector(phrases).find_phrases(TokenizedDocument(text))
+    return PhraseDetector(phrases).matches(TokenizedDocument(text))
 
 
 class TestPatternDetector:

@@ -12,7 +12,9 @@ stemmer, and the per-row feature assembly.
 """
 
 import gc
+import os
 import random
+import tempfile
 import threading
 import weakref
 
@@ -35,6 +37,7 @@ from repro.detection.base import KIND_PATTERN, PhraseDetector
 from repro.detection.kernel import (
     TAG_CONCEPTS,
     TAG_NAMED,
+    TAG_UNITS,
     CombinedAutomaton,
     DetectionKernel,
     FlatAutomaton,
@@ -44,7 +47,8 @@ from repro.detection.kernel import (
     phrase_inventory,
     reset_intern_call_count,
 )
-from repro.querylog.units import UnitLexicon
+from repro.querylog.units import Unit, UnitLexicon
+from repro.runtime.datapack import load_detection_kernel, save_detection_kernel
 from repro.text.stemmer import (
     PorterStemmer,
     clear_stem_cache,
@@ -66,12 +70,32 @@ def automaton_for(phrases, extra_vocab=()) -> FlatAutomaton:
 
 
 def assert_automaton_matches_seed(phrases, text):
-    """The automaton must reproduce the seed matcher exactly, compiled
-    directly and as a detector used on its own compiles it."""
+    """The scan must reproduce the seed matcher exactly, as a detector
+    used on its own compiles it (its inventory in the concept slot) and
+    as a kernel's named inventory."""
     expected = reference.seed_matcher_find(phrases, text)
     document = TokenizedDocument(text)
-    assert automaton_for(phrases).find_phrases(document) == expected
-    assert PhraseDetector(phrases).find_phrases(document) == expected
+    assert PhraseDetector(phrases).matches(document) == expected
+    assert DetectionKernel.build(named_phrases=phrases).scan(document) == (
+        [],
+        expected,
+    )
+
+
+def assert_scan_finds_longest_matches(automaton, ids, words, inventories):
+    """Each tagged map of one walk of *automaton* holds, at every start,
+    the terminal of its inventory's longest phrase there (*inventories*
+    gives the phrases of tag bits 1 and 2)."""
+    phrase_of = {
+        terminal: phrase for phrase, terminal in automaton.base.phrase_states()
+    }
+    for best, inventory in zip(automaton.scan(ids), inventories):
+        assert {
+            start: phrase_of[terminal] for start, terminal in best.items()
+        } == {
+            start: tuple(words[start:end])
+            for start, end in reference.longest_match_ends(inventory, words).items()
+        }
 
 
 def assert_columns_match_reference(automaton, phrases, scores=None):
@@ -128,6 +152,15 @@ _phrases = st.one_of(
     st.integers(1, 5).map(lambda n: ("a",) * n),
 )
 _inventories = st.lists(_phrases, max_size=10)
+# unit lexicons over the same alphabet; a 0.0 score covers its words
+# without weighting them
+_lexicons = st.lists(
+    st.tuples(_phrases, st.integers(0, 20)), max_size=10
+).map(
+    lambda pairs: UnitLexicon(
+        [Unit(terms, 0.0, count / 20) for terms, count in pairs]
+    )
+)
 _texts = st.lists(
     st.tuples(st.sampled_from(_TOKENS + ["A", "B", "zzz"]), st.integers(1, 12)),
     max_size=8,
@@ -180,45 +213,68 @@ class TestFlatAutomatonEdgeCases:
             [("a", "a", "b"), ("a", "b")], "a a a b a b a a b"
         )
 
-    @given(concepts=_inventories, named=_inventories, text=_texts)
+    @given(
+        concepts=_inventories, named=_inventories, units=_lexicons, text=_texts
+    )
     @settings(max_examples=200, deadline=None)
-    def test_randomized_cross_check(self, concepts, named, text):
+    def test_randomized_cross_check(self, concepts, named, units, text):
         """The DFA rows resolved in numpy equal the per-symbol loop's
-        (checked first: a broken table can make a scan loop forever),
-        every matching route equals the seed matcher, and the fused
-        scan's per-tag maps equal the per-detector automata."""
+        (checked first: a broken table can make a scan loop forever).
+        Then the one walk finds the longest match at every start, and a
+        kernel holding both, one or neither detector inventory, compiled
+        or loaded from its pack, gives the seed matcher's spans and the
+        seed segmentation's unit weights in insertion order."""
         kernel = DetectionKernel.build(
-            concept_phrases=concepts, named_phrases=named
+            concept_phrases=concepts, named_phrases=named, lexicon=units
         )
         assert_columns_match_reference(kernel.concepts, concepts)
         assert_columns_match_reference(kernel.named, named)
         assert_columns_match_reference(automaton_for(named), named)
-        for automaton in (kernel.concepts, kernel.named, kernel._combined.base):
-            assert automaton.phrase_states() == reference.phrase_states(automaton)
-        scores = {
-            phrase: 1.0 / (rank + 1)
-            for rank, phrase in enumerate(phrase_inventory(concepts))
+        multi = {
+            tuple(unit.terms): unit.score
+            for unit in units.units()
+            if len(unit.terms) > 1
         }
-        assert_columns_match_reference(
-            FlatAutomaton.compile(concepts, kernel.interner, scores=scores),
-            concepts,
-            scores,
+        assert_columns_match_reference(kernel.units, sorted(multi), multi)
+        detectors = kernel._detector_scan
+        for automaton in (kernel.concepts, kernel.named, detectors.base):
+            assert automaton.phrase_states() == reference.phrase_states(automaton)
+
+        document = TokenizedDocument(text)
+        words = document.words
+        ids = document.token_id_array(kernel.interner)
+        assert_scan_finds_longest_matches(
+            detectors, ids, words, (concepts, named)
+        )
+        assert_scan_finds_longest_matches(
+            CombinedAutomaton.of(kernel.units, TAG_UNITS), ids, words, (multi, ())
         )
 
         assert_automaton_matches_seed(concepts, text)
         assert_automaton_matches_seed(named, text)
-        document = TokenizedDocument(text)
-        assert kernel.concepts_view.find_phrases(
-            document
-        ) == reference.seed_matcher_find(concepts, text)
-        assert kernel.named_view.find_phrases(
-            document
-        ) == reference.seed_matcher_find(named, text)
-
-        ids = document.token_ids(kernel.interner)
-        got_concepts, got_named = kernel.scan(document)
-        assert got_concepts == ends_by_start(kernel.concepts, ids)
-        assert got_named == ends_by_start(kernel.named, ids)
+        expected_units = list(reference.unit_weights(units, words).items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "detection.rpak")
+            for held_concepts, held_named in (
+                (concepts, named), (concepts, None), (None, named), (None, None)
+            ):
+                compiled = DetectionKernel.build(
+                    concept_phrases=held_concepts,
+                    named_phrases=held_named,
+                    lexicon=units,
+                )
+                save_detection_kernel(compiled, path)
+                expected = (
+                    reference.seed_matcher_find(held_concepts or (), text),
+                    reference.seed_matcher_find(held_named or (), text),
+                )
+                for variant in (compiled, load_detection_kernel(path)):
+                    document = TokenizedDocument(text)
+                    assert variant.scan(document) == expected
+                    assert (
+                        list(variant.unit_weights(document).items())
+                        == expected_units
+                    )
 
     def test_attach_rejects_wrong_inventory(self):
         pipeline = small_pipeline([("one",), ("two",)])
@@ -328,26 +384,28 @@ class TestFlatAutomatonStructure:
             columns["sym"],
             phrase_count=automaton.phrase_count,
         )
-        document = TokenizedDocument("a b c b a b x a b")
-        assert reloaded.find_phrases(document) == automaton.find_phrases(
-            document
-        )
+        ids = automaton.interner.ids("a b c b a b x a b".split())
+        spans = [
+            scan.spans(scan.scan(ids)[0])
+            for scan in (
+                CombinedAutomaton.of(automaton, TAG_UNITS),
+                CombinedAutomaton.of(reloaded, TAG_UNITS),
+            )
+        ]
+        assert spans[0] == spans[1]
+        assert [(s, e) for s, e, __ in spans[0]] == [(0, 3), (3, 4), (4, 6), (7, 9)]
 
     def test_score_column_round_trip(self):
         scores = {("a", "b"): 0.75, ("b", "c"): 0.5}
         interner = TokenInterner(["a", "b", "c"])
         automaton = FlatAutomaton.compile(sorted(scores), interner, scores=scores)
-        ids = interner.ids("a b c a b".split())
-        spans = automaton.find_scored_spans(ids)
+        scan = CombinedAutomaton.of(automaton, TAG_UNITS)
+        spans = scan.spans(scan.scan(interner.ids("a b c a b".split()))[0])
         assert [(s, e) for s, e, __ in spans] == [(0, 2), (3, 5)]
-        assert [score for __, __, score in spans] == [0.75, 0.75]
-
-
-def ends_by_start(automaton: FlatAutomaton, ids) -> dict:
-    """The per-detector ``{start: longest end}`` map of one automaton."""
-    return {
-        start: end for start, (end, __) in automaton._scored_starts(ids).items()
-    }
+        assert [scan.out_score[terminal] for __, __, terminal in spans] == [
+            0.75,
+            0.75,
+        ]
 
 
 class TestCombinedAutomaton:
@@ -356,8 +414,6 @@ class TestCombinedAutomaton:
         concept_phrases = [("a", "b"), ("c",), ("b", "c", "d")]
         # ("a", "b") is in both inventories: its terminal carries both tags
         named_phrases = [("a", "b"), ("d", "e"), ("c", "d", "e")]
-        concepts = FlatAutomaton.compile(concept_phrases, interner)
-        named = FlatAutomaton.compile(named_phrases, interner)
         combined = CombinedAutomaton.compile(
             interner,
             [(concept_phrases, TAG_CONCEPTS), (named_phrases, TAG_NAMED)],
@@ -368,10 +424,10 @@ class TestCombinedAutomaton:
         for _ in range(40):
             words = rng.choices(vocab, k=rng.randint(0, 30))
             ids = interner.ids(words)
-            got_concepts, got_named = combined.scan(ids)
-            assert got_concepts == ends_by_start(concepts, ids)
-            assert got_named == ends_by_start(named, ids)
-            named_seen += len(got_named)
+            assert_scan_finds_longest_matches(
+                combined, ids, words, (concept_phrases, named_phrases)
+            )
+            named_seen += len(combined.scan(ids)[1])
         assert named_seen
 
 
@@ -417,11 +473,6 @@ class TestKernelPipelineEquivalence:
         kernel saved and loaded from a pack, the lexicon-only kernel a
         scorer compiles on its own, and one whose vocabulary leaves
         every non-unit word out of vocabulary."""
-        from repro.runtime.datapack import (
-            load_detection_kernel,
-            save_detection_kernel,
-        )
-
         scorer = env_scorer
         save_detection_kernel(env_kernel, tmp_path / "kernel.pack")
         kernels = [
@@ -454,12 +505,6 @@ class TestKernelPipelineEquivalence:
                     units.items()
                 )
 
-    def test_stem_table_matches_porter_pass(self, env_kernel, env_stories):
-        text = env_stories[0].text + " with an oovxyzword too"
-        pure = TokenizedDocument(text).stemmed_terms
-        stamped = env_kernel.stem_document(TokenizedDocument(text))
-        assert stamped.stemmed_terms == pure
-
     def test_tid_context_matches_table(self, env_kernel, env_stories):
         from repro.runtime.tid import GlobalTidTable
 
@@ -489,11 +534,6 @@ class TestKernelPipelineEquivalence:
 
 class TestKernelPackRoundTrip:
     def test_save_load_identical(self, tmp_path, env_pipeline, env_stories):
-        from repro.runtime.datapack import (
-            load_detection_kernel,
-            save_detection_kernel,
-        )
-
         kernel = DetectionKernel.build(
             concept_phrases=env_pipeline._concepts.inventory(),
             named_phrases=env_pipeline._named.inventory(),
@@ -513,10 +553,10 @@ class TestKernelPackRoundTrip:
                     name,
                     column,
                 )
-        document = TokenizedDocument(env_stories[0].text)
-        assert loaded.concepts_view.find_phrases(
-            document
-        ) == kernel.concepts_view.find_phrases(TokenizedDocument(env_stories[0].text))
+        text = env_stories[0].text
+        assert loaded.scan(TokenizedDocument(text)) == kernel.scan(
+            TokenizedDocument(text)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -557,6 +597,20 @@ class TestDamagedKernelPack:
             name = f"{prefix}_{column}"
             damaged = np.frombuffer(kernel_pack_sections[name], "<i4").copy()
             damaged[len(damaged) // 2] = value
+            with pytest.raises(ValueError, match=name):
+                self.load_with(tmp_path, kernel_pack_sections, name, damaged)
+
+    def test_nonzero_symbol_zero_entry_rejected(
+        self, tmp_path, kernel_pack_sections
+    ):
+        """The scan keeps each state's emit in its symbol-0 slot, so a
+        transition there, even to a valid state, fails at load."""
+        for prefix in self.PREFIXES:
+            name = f"{prefix}_delta"
+            damaged = np.frombuffer(kernel_pack_sections[name], "<i4").copy()
+            states = len(kernel_pack_sections[f"{prefix}_fail"]) // 4
+            alphabet = len(damaged) // states
+            damaged[(states // 2) * alphabet] = 1
             with pytest.raises(ValueError, match=name):
                 self.load_with(tmp_path, kernel_pack_sections, name, damaged)
 
@@ -711,13 +765,3 @@ class TestStemTableBuild:
             else:
                 assert table.flags[index] == 0
                 assert table.stems[index] == porter.stem(term)
-
-    def test_stemmed_terms_skips_stopwords_and_stems_oov(self):
-        terms = ["running", "the"]
-        table = StemTable.build(terms)
-        interner = TokenInterner(terms)
-        words = ["running", "the", "oovxyzword"]
-        assert table.stemmed_terms(words, interner.ids(words)) == [
-            stem("running"),
-            stem("oovxyzword"),
-        ]

@@ -23,7 +23,7 @@ from repro.detection import (
     resolve_collisions,
 )
 from repro.detection.base import PhraseDetector
-from repro.detection.kernel import FlatAutomaton, phrase_inventory
+from repro.detection.kernel import FlatAutomaton, TokenInterner, phrase_inventory
 from repro.features import RelevanceModel
 from repro.ranking import RankSVM
 from repro.runtime import (
@@ -44,8 +44,8 @@ from tests.reference import seed_matcher_find
 
 
 def find(phrases, text):
-    """Matches of *phrases* in *text*, through a detector's own automaton."""
-    return PhraseDetector(phrases).find_phrases(TokenizedDocument(text))
+    """Matches of *phrases* in *text*, through a detector's own kernel."""
+    return PhraseDetector(phrases).matches(TokenizedDocument(text))
 
 
 def seed_resolve_collisions(detections):
@@ -161,10 +161,10 @@ class TestGoldenEquivalence:
         self, service, env_pipeline, env_world, env_detectable, env_lexicon,
         env_stories, tmp_path,
     ):
-        """A service cold-started from a pack ranks without building any
-        automaton's scan tables; the baseline builds the units ones once, on
-        its first concept vector, and detects and scores exactly as a
-        kernel compiled in memory."""
+        """A service cold-started from a pack ranks without building the
+        units scan; the baseline builds it once, on its first concept
+        vector, and detects and scores exactly as a kernel compiled in
+        memory."""
         from repro.detection import (
             ConceptDetector,
             ConceptVectorScorer,
@@ -204,26 +204,23 @@ class TestGoldenEquivalence:
         assert [cold.process(text) for text in texts] == [
             service.process(text) for text in texts
         ]
-        # serving scans only the combined automaton's own lists
-        for automaton in (
-            kernel.units, kernel.concepts, kernel.named, kernel._combined.base
-        ):
-            assert automaton._tables is None
+        # serving walks only the detector scan
+        assert kernel._units_scan is None
 
         in_memory = pipeline_with(None)  # compiles its kernel on first use
         first = pipeline.process(texts[0])
-        tables = kernel.units._tables
-        assert tables is not None
+        units_scan = kernel._units_scan
+        assert units_scan is not None
         assert first == in_memory.process(texts[0])
         for text in texts[1:]:
             assert pipeline.process(text) == in_memory.process(text)
-        assert kernel.units._tables is tables
+        assert kernel._units_scan is units_scan
 
     def test_matcher_matches_seed_on_corpus(
         self, env_concept_detector, env_pipeline, env_stories
     ):
-        """The standalone automaton and the pipeline kernel's fused scan
-        both match exactly what the seed matcher finds."""
+        """A detector's own kernel and the pipeline kernel's detector
+        scan both match exactly what the seed matcher finds."""
         inventory = list(env_concept_detector._phrases)
         named = env_pipeline._named.inventory()
         kernel = env_pipeline.compile_kernel()
@@ -231,10 +228,10 @@ class TestGoldenEquivalence:
             document = TokenizedDocument(story.text)
             expected = seed_matcher_find(inventory, story.text)
             assert find(inventory, story.text) == expected
-            assert kernel.concepts_view.find_phrases(document) == expected
-            assert kernel.named_view.find_phrases(
-                document
-            ) == seed_matcher_find(named, story.text)
+            assert kernel.scan(document) == (
+                expected,
+                seed_matcher_find(named, story.text),
+            )
 
     @given(
         st.lists(
@@ -293,11 +290,13 @@ class TestTrieMatcher:
         # seed regression: duplicates inflated the inventory size
         phrases = [("cuba",), ("Cuba",), ("global", "warming"), ("global", "warming")]
         assert phrase_inventory(phrases) == [("cuba",), ("global", "warming")]
-        assert FlatAutomaton.for_phrases(phrases).phrase_count == 2
+        interner = TokenInterner(["cuba", "global", "warming"])
+        assert FlatAutomaton.compile(phrases, interner).phrase_count == 2
 
     def test_empty_phrases_ignored(self):
         assert phrase_inventory([(), ("cuba",)]) == [("cuba",)]
-        assert FlatAutomaton.for_phrases([(), ("cuba",)]).phrase_count == 1
+        interner = TokenInterner(["cuba"])
+        assert FlatAutomaton.compile([(), ("cuba",)], interner).phrase_count == 1
 
 
 # -- single-pass bookkeeping ----------------------------------------------
