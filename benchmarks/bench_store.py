@@ -113,7 +113,8 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
     # -- columnar vectorized batch -----------------------------------------
     started = time.perf_counter()
     columnar_scores = [
-        packed.score_many(phrases, context).tolist() for context in contexts
+        packed.score_many(packed.rows_of(phrases), context).tolist()
+        for context in contexts
     ]
     columnar_seconds = time.perf_counter() - started
 
@@ -126,7 +127,8 @@ def run_store_benchmark(concept_count=CONCEPT_COUNT):
     # -- compressed store: batch decode per context -------------------------
     started = time.perf_counter()
     compressed_scores = [
-        compressed.score_many(phrases, context).tolist() for context in contexts
+        compressed.score_many(compressed.rows_of(phrases), context).tolist()
+        for context in contexts
     ]
     compressed_seconds = time.perf_counter() - started
 

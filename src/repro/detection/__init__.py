@@ -11,12 +11,7 @@ from repro.detection.concepts import ConceptDetector, detectable_concept_phrases
 from repro.detection.conceptvector import ConceptVectorScorer
 from repro.detection.named import NamedEntityDetector
 from repro.detection.patterns import PatternDetector
-from repro.detection.pipeline import (
-    AnnotatedDocument,
-    ShortcutsPipeline,
-    deduplicate,
-    resolve_collisions,
-)
+from repro.detection.pipeline import AnnotatedDocument, ShortcutsPipeline
 
 __all__ = [
     "KIND_CONCEPT",
@@ -30,6 +25,4 @@ __all__ = [
     "PatternDetector",
     "AnnotatedDocument",
     "ShortcutsPipeline",
-    "deduplicate",
-    "resolve_collisions",
 ]

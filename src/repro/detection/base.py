@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.detection.kernel import (
-    DetectionKernel,
+    TAG_CONCEPTS,
+    CombinedAutomaton,
     Phrase,
     PhraseMatch,
+    TokenInterner,
     phrase_inventory,
 )
 from repro.text.tokenized import TokenizedDocument
@@ -25,7 +27,7 @@ KIND_NAMED = "named"
 KIND_CONCEPT = "concept"
 
 # collision priority: higher wins when spans overlap and lengths tie
-_KIND_PRIORITY = {KIND_PATTERN: 3, KIND_NAMED: 2, KIND_CONCEPT: 1}
+KIND_PRIORITY = {KIND_PATTERN: 3, KIND_NAMED: 2, KIND_CONCEPT: 1}
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,6 @@ class Detection:
         """Normalized phrase key (lower-case surface text)."""
         return self.text.lower()
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    def overlaps(self, other: "Detection") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def with_score(self, score: float) -> "Detection":
         # direct construction: `dataclasses.replace` re-runs field
         # introspection per call, which is measurable at per-detection
@@ -100,11 +95,6 @@ class Detection:
             score,
         )
 
-    def priority(self) -> Tuple[int, int]:
-        """Collision priority: longer spans win, then kind priority."""
-        # inline of `self.length`: priority() is a per-detection sort key
-        return (self.end - self.start, _KIND_PRIORITY.get(self.kind, 0))
-
 
 class PhraseDetector:
     """A fixed phrase inventory, matched by a detection kernel's scan.
@@ -112,14 +102,14 @@ class PhraseDetector:
     The shared half of the concept and named-entity detectors.  In a
     pipeline, the pipeline's
     :class:`~repro.detection.kernel.DetectionKernel` scans each document
-    once and hands every detector its matches; a detector used on its
-    own scans through a kernel compiled for its inventory alone, on
+    once and hands every detector's matches on as terminal spans; a
+    detector used on its own compiles a scan of its inventory alone, on
     first use.
     """
 
     def __init__(self, phrases: Iterable[Phrase]):
         self._inventory = phrase_inventory(phrases)
-        self._kernel = None
+        self._scan: Optional[CombinedAutomaton] = None
 
     def inventory(self) -> List[Phrase]:
         """The lower-cased, deduplicated inventory (kernel compilation)."""
@@ -130,12 +120,23 @@ class PhraseDetector:
 
         Longest match wins at each position and the scan resumes past
         it, so matches never overlap (the production segmentation).
-        The kernel compiled for this inventory holds it as its concept
-        inventory, over a vocabulary of the inventory's own tokens.
+        The scan is one :class:`~repro.detection.kernel.CombinedAutomaton`
+        over an interner of the inventory's own tokens: no stem table,
+        no second automaton.
         """
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = DetectionKernel.build(
-                concept_phrases=self._inventory
+        scan = self._scan
+        if scan is None:
+            # published with one assignment: two threads making the
+            # first call at once can at worst both compile it
+            interner = TokenInterner(
+                dict.fromkeys(term for phrase in self._inventory for term in phrase)
             )
-        return kernel.scan(document)[0]
+            scan = self._scan = CombinedAutomaton.compile(
+                interner, [(self._inventory, TAG_CONCEPTS)]
+            )
+        found = scan.scan(document.token_id_array(scan.base.interner))[0]
+        phrases = scan.phrases
+        return [
+            (phrases[terminal], start, end)
+            for start, end, terminal in scan.char_spans(found, document)
+        ]

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Set, Tuple
 
-from repro.detection.base import (
-    KIND_CONCEPT,
-    Detection,
-    PhraseDetector,
-    PhraseMatch,
-)
+from repro.detection.base import KIND_CONCEPT, Detection, PhraseDetector
 from repro.querylog.log import QueryLog
 from repro.querylog.units import UnitLexicon
 from repro.text.tokenized import TokenizedDocument
@@ -64,18 +59,9 @@ class ConceptDetector(PhraseDetector):
 
     def detect(self, text: str) -> List[Detection]:
         """All concept occurrences in *text*."""
-        document = TokenizedDocument.of(text)
-        return self.detect_document(document, self.matches(document))
-
-    def detect_document(
-        self, document: TokenizedDocument, matches: Sequence[PhraseMatch]
-    ) -> List[Detection]:
-        """The detections of *matches*, this detector's scan of *document*."""
-        text = document.text
-        make = Detection.make
         return [
-            make(text[start:end], start, end, KIND_CONCEPT, None, phrase)
-            for phrase, start, end in matches
+            Detection.make(text[start:end], start, end, KIND_CONCEPT, None, phrase)
+            for phrase, start, end in self.matches(TokenizedDocument.of(text))
         ]
 
     def unit_score(self, phrase: Sequence[str]) -> float:

@@ -48,6 +48,9 @@ Phrase = Tuple[str, ...]
 # A detector's match: the matched lower-cased words and their
 # (char_start, char_end) surface span in the text.
 PhraseMatch = Tuple[Phrase, int, int]
+# A scan's match as ids: its (char_start, char_end) surface span and the
+# terminal state of its phrase (``CombinedAutomaton.phrases[terminal]``).
+TerminalSpan = Tuple[int, int, int]
 
 # Interning-pass counter, mirroring `tokenize_call_count`: the kernel is
 # judged by how many times a document's words are interned (the design
@@ -444,7 +447,11 @@ class CombinedAutomaton:
     :meth:`scan` records, per tag and start token, the terminal of the
     longest match there: its end is ``start + out_len[terminal]`` and,
     for a scored automaton, its score ``out_score[terminal]``.
-    :meth:`spans` reduces that to the leftmost-longest selection.
+    :meth:`spans` reduces that to the leftmost-longest selection and
+    :meth:`char_spans` gives the selection's character offsets.  A
+    compiled scan also knows each terminal's phrase (``phrases``), so
+    its matches travel as terminal ids and become words only where a
+    caller asks.
 
     Derived state, never serialized: the kernel compiles its detector
     scan from the inventories its automata's columns hold
@@ -457,6 +464,7 @@ class CombinedAutomaton:
     __slots__ = (
         "base",
         "tags",
+        "phrases",
         "out_score",
         "_delta_pm",
         "_out_len",
@@ -464,9 +472,17 @@ class CombinedAutomaton:
         "_sym_array",
     )
 
-    def __init__(self, base: FlatAutomaton, tags: Sequence[int]):
+    def __init__(
+        self,
+        base: FlatAutomaton,
+        tags: Sequence[int],
+        phrases: Optional[List[Optional[Phrase]]] = None,
+    ):
         self.base = base
         self.tags = [int(v) for v in tags]
+        # terminal state -> its phrase (None elsewhere); only a compiled
+        # scan has them, the units scan needs none
+        self.phrases = phrases
         # Scan-loop precomputation: delta entries pre-multiplied by the
         # alphabet size (a state is represented by its row base, saving
         # the per-token multiply; one shared int object per row base),
@@ -499,9 +515,11 @@ class CombinedAutomaton:
                 tag_of[phrase] = tag_of.get(phrase, 0) | tag
         base = FlatAutomaton.compile(tag_of, interner)
         tags = [0] * base.state_count
+        phrases: List[Optional[Phrase]] = [None] * base.state_count
         for phrase, terminal in base.phrase_states():
             tags[terminal] = tag_of[phrase]
-        return cls(base, tags)
+            phrases[terminal] = phrase
+        return cls(base, tags, phrases)
 
     @classmethod
     def of(cls, automaton: FlatAutomaton, tag: int) -> "CombinedAutomaton":
@@ -567,6 +585,22 @@ class CombinedAutomaton:
                 spans.append((start, cursor, terminal))
         return spans
 
+    def char_spans(
+        self, best: Dict[int, int], document: TokenizedDocument
+    ) -> List[TerminalSpan]:
+        """:meth:`spans` with character offsets: ``(char_start,
+        char_end, terminal)`` spans of *document*, in document order.
+
+        Only the matched words' offsets are read, one ``item`` each,
+        so the document's offset arrays never become lists.
+        """
+        start_of = document.word_starts.item
+        end_of = document.word_ends.item
+        return [
+            (start_of(start), end_of(end - 1), terminal)
+            for start, end, terminal in self.spans(best)
+        ]
+
 
 class DetectionKernel:
     """The compiled per-document analysis bundle the pipeline attaches.
@@ -588,9 +622,7 @@ class DetectionKernel:
     baseline (:meth:`unit_weights`), so its scan is built on the
     baseline's first document.  A kernel with neither detector automaton
     (``DetectionKernel.build(lexicon=...)``) is what a concept-vector
-    scorer used outside a pipeline compiles for itself; one with a
-    single detector inventory, what a detector used outside a pipeline
-    does.
+    scorer used outside a pipeline compiles for itself.
     """
 
     def __init__(
@@ -752,28 +784,28 @@ class DetectionKernel:
 
     # -- per-document kernels --------------------------------------------
 
+    @property
+    def phrases(self) -> List[Optional[Phrase]]:
+        """The detector scan's terminal state -> phrase column (None at
+        states that end no phrase): what :meth:`scan`'s terminals name."""
+        return self._detector_scan.phrases
+
     def scan(
         self, document: TokenizedDocument
-    ) -> Tuple[List[PhraseMatch], List[PhraseMatch]]:
+    ) -> Tuple[List[TerminalSpan], List[TerminalSpan]]:
         """The detector scan: (concept matches, named matches).
 
         One pass over the document's id stream serves both detectors.
-        Each list is ``(phrase, char_start, char_end)`` matches in
-        document order, leftmost-longest, never overlapping.
+        Each list is ``(char_start, char_end, terminal)`` matches in
+        document order, leftmost-longest, never overlapping; the
+        matched phrase is ``phrases[terminal]``.
         """
         automaton = self._detector_scan
-        found = automaton.scan(document.token_id_array(self.interner))
-        words = document.words
-        starts = document.word_starts
-        ends = document.word_ends
-        concepts, named = (
-            [
-                (tuple(words[start:end]), starts[start], ends[end - 1])
-                for start, end, __ in automaton.spans(best)
-            ]
-            for best in found
+        concepts, named = automaton.scan(document.token_id_array(self.interner))
+        return (
+            automaton.char_spans(concepts, document),
+            automaton.char_spans(named, document),
         )
-        return concepts, named
 
     def stem_document(self, document: TokenizedDocument) -> TokenizedDocument:
         """The stemmer pass: stamp the kernel and intern the document.

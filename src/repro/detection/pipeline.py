@@ -13,18 +13,111 @@ scores, so it asks for the candidates unscored
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
-from repro.detection.base import KIND_PATTERN, Detection
+from repro.detection.base import (
+    KIND_CONCEPT,
+    KIND_NAMED,
+    KIND_PATTERN,
+    KIND_PRIORITY,
+    Detection,
+)
 from repro.detection.concepts import ConceptDetector
 from repro.detection.conceptvector import ConceptVectorScorer
-from repro.detection.kernel import DetectionKernel
-from repro.detection.named import NamedEntityDetector
+from repro.detection.kernel import DetectionKernel, Phrase
+from repro.detection.named import NamedEntityDetector, NamedRecord, entity_types
 from repro.detection.patterns import PatternDetector
 from repro.text.html import strip_html
 from repro.text.tokenized import DocumentLike, TokenizedDocument
+
+PATTERN = KIND_PRIORITY[KIND_PATTERN]
+_NAMED = KIND_PRIORITY[KIND_NAMED]
+_CONCEPT = KIND_PRIORITY[KIND_CONCEPT]
+_KIND_OF = {code: kind for kind, code in KIND_PRIORITY.items()}
+
+# One candidate of a document: (start, end, kind, terminal, entity type,
+# key).  *kind* is the kind's collision priority (`KIND_PRIORITY`),
+# *terminal* the detector scan's terminal state of a phrase match (-1 for
+# a pattern match), and *key* the lower-cased surface text
+# ``text[start:end].lower()``, the phrase key dedup and the stores use.
+CandidateRow = Tuple[int, int, int, int, Optional[str], str]
+
+
+class TerminalColumns:
+    """Per-terminal columns of one kernel's detector scan, built when
+    the kernel is attached: ``phrases[terminal]`` is the matched
+    phrase's words, ``keys[terminal]`` the canonical phrase (the words
+    joined by single spaces) and ``records[terminal]`` its named-entity
+    record (None where no dictionary phrase ends).  The kernel rides
+    along, so one attribute publishes all of them."""
+
+    __slots__ = ("kernel", "phrases", "keys", "records")
+
+    def __init__(
+        self, kernel: DetectionKernel, named: Optional[NamedEntityDetector]
+    ):
+        self.kernel = kernel
+        self.phrases: List[Optional[Phrase]] = kernel.phrases
+        self.keys: List[Optional[str]] = [
+            " ".join(phrase) if phrase is not None else None
+            for phrase in self.phrases
+        ]
+        self.records: List[Optional[NamedRecord]] = [
+            named.record(key) if named is not None and key is not None else None
+            for key in self.keys
+        ]
+
+
+class Candidates(Sequence[Detection]):
+    """A document's collision-resolved, deduplicated candidates.
+
+    ``rows`` hold them as :data:`CandidateRow` columns, in document
+    order.  As a sequence they are :class:`Detection` objects with 0.0
+    scores, built on first access; ``len`` builds none, and
+    :meth:`detection` builds one for a caller that needs only a few.
+    """
+
+    __slots__ = ("text", "rows", "columns", "_detections")
+
+    def __init__(self, text: str, rows: List[CandidateRow], columns: TerminalColumns):
+        self.text = text
+        self.rows = rows
+        self.columns = columns
+        self._detections: Optional[List[Detection]] = None
+
+    def detection(self, row: CandidateRow, score: float = 0.0) -> Detection:
+        """The :class:`Detection` of one of the rows, scored *score*."""
+        start, end, kind, terminal, entity_type, key = row
+        return Detection.make(
+            self.text[start:end],
+            start,
+            end,
+            _KIND_OF[kind],
+            entity_type,
+            self.columns.phrases[terminal] if terminal >= 0 else tuple(key.split()),
+            score,
+        )
+
+    def _built(self) -> List[Detection]:
+        if self._detections is None:
+            self._detections = [self.detection(row) for row in self.rows]
+        return self._detections
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence):
+            return self._built() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return repr(self._built())
 
 
 @dataclass
@@ -37,7 +130,7 @@ class AnnotatedDocument:
     """
 
     text: str
-    detections: List[Detection] = field(default_factory=list)
+    detections: Sequence[Detection] = field(default_factory=list)
     tokens: Optional[TokenizedDocument] = field(
         default=None, repr=False, compare=False
     )
@@ -63,44 +156,57 @@ class AnnotatedDocument:
         return "".join(pieces)
 
 
-def resolve_collisions(detections: List[Detection]) -> List[Detection]:
-    """Drop overlapping detections, keeping the higher-priority span.
+def resolve_candidates(
+    text: str,
+    patterns: Sequence[Tuple[int, int, str]],
+    named: Sequence[Tuple[int, int, int]],
+    named_types: Sequence[str],
+    concepts: Sequence[Tuple[int, int, int]],
+) -> List[CandidateRow]:
+    """Collision resolution, then first-occurrence dedup, over id columns.
 
-    Priority: longer span first, then pattern > named > concept.
-
-    The kept spans are pairwise non-overlapping, so ordered by
-    ``(start, end)`` their end offsets are non-decreasing; a candidate
-    then collides iff the last kept span starting before its end runs
-    past its start.  That one bisect replaces the seed's O(n^2)
-    all-pairs overlap scan.
+    *patterns* are ``(start, end, type)`` pattern matches, *named* and
+    *concepts* the detector scan's ``(start, end, terminal)`` matches,
+    *named_types* the named matches' entity types.  Overlapping spans
+    keep the higher priority: the longer span, then pattern > named >
+    concept, then the earlier start.  The spans are taken in priority
+    order, and a span is kept unless a kept one overlaps it: the kept
+    spans' offsets, start and end alternately, form one sorted list,
+    so one bisect decides.  Of the survivors, the first occurrence of
+    each surface key stays: an entity is annotated once per page, and
+    views/clicks are counted per entity, not per occurrence (Section
+    III).
     """
-    ordered = sorted(
-        detections, key=lambda d: (-d.priority()[0], -d.priority()[1], d.start)
+    # (-length, -kind priority, start, index within kind, end, terminal,
+    # type): sorted, the tuples come in priority order, ties in input order
+    ranked = sorted(
+        [(s - e, -PATTERN, s, i, e, -1, t) for i, (s, e, t) in enumerate(patterns)]
+        + [
+            (s - e, -_NAMED, s, i, e, terminal, entity_type)
+            for i, ((s, e, terminal), entity_type) in enumerate(zip(named, named_types))
+        ]
+        + [
+            (s - e, -_CONCEPT, s, i, e, terminal, None)
+            for i, (s, e, terminal) in enumerate(concepts)
+        ]
     )
-    kept: List[Detection] = []
-    spans: List[tuple] = []  # kept (start, end), kept sorted
-    for candidate in ordered:
-        # spans with start < candidate.end are the only overlap risks
-        before = bisect_left(spans, (candidate.end,))
-        if before and spans[before - 1][1] > candidate.start:
+    bounds: List[int] = []  # start, end of each kept span, in order
+    kept = []
+    for __, kind, start, __, end, terminal, entity_type in ranked:
+        at = bisect_right(bounds, start)
+        if at & 1 or (at < len(bounds) and bounds[at] < end):
             continue
-        insort(spans, (candidate.start, candidate.end))
-        kept.append(candidate)
-    kept.sort(key=lambda d: d.start)
-    return kept
-
-
-def deduplicate(detections: List[Detection]) -> List[Detection]:
-    """Keep only the first occurrence of each phrase.
-
-    An entity is annotated once per page; views/clicks are counted per
-    entity, not per occurrence (Section III).
-    """
-    seen: Dict[str, Detection] = {}
-    for detection in detections:
-        if detection.phrase not in seen:
-            seen[detection.phrase] = detection
-    return sorted(seen.values(), key=lambda d: d.start)
+        bounds[at:at] = (start, end)
+        kept.append((start, end, -kind, terminal, entity_type))
+    kept.sort()
+    seen = set()
+    rows: List[CandidateRow] = []
+    for start, end, kind, terminal, entity_type in kept:
+        key = text[start:end].lower()
+        if key not in seen:
+            seen.add(key)
+            rows.append((start, end, kind, terminal, entity_type, key))
+    return rows
 
 
 class ShortcutsPipeline:
@@ -128,7 +234,7 @@ class ShortcutsPipeline:
         self._scorer = scorer
         self._named = named_detector
         self._patterns = pattern_detector or PatternDetector()
-        self._kernel: Optional[DetectionKernel] = None
+        self._columns: Optional[TerminalColumns] = None
         if kernel is not None:
             self.attach_kernel(kernel)
 
@@ -137,7 +243,7 @@ class ShortcutsPipeline:
     @property
     def kernel(self) -> Optional[DetectionKernel]:
         """The attached kernel (None until the first document compiles one)."""
-        return self._kernel
+        return self._columns.kernel if self._columns is not None else None
 
     def compile_kernel(self, vocab_terms=(), stem_of=None) -> DetectionKernel:
         """Compile a kernel from the live inventories and attach it.
@@ -174,12 +280,12 @@ class ShortcutsPipeline:
             self._named.inventory() if self._named is not None else None,
         )
         self._scorer.attach_kernel(kernel)
-        self._kernel = kernel
+        self._columns = TerminalColumns(kernel, self._named)
 
-    def _ensure_kernel(self) -> DetectionKernel:
-        if self._kernel is None:
+    def _ensure_columns(self) -> TerminalColumns:
+        if self._columns is None:
             self.compile_kernel()
-        return self._kernel
+        return self._columns
 
     def stem_document(self, document: TokenizedDocument) -> TokenizedDocument:
         """The stemmer pass for *document*, off the kernel's stem table.
@@ -189,7 +295,7 @@ class ShortcutsPipeline:
         maps its ids to TIDs through the precomputed vocab->stem table
         (Porter only for OOV words).
         """
-        return self._ensure_kernel().stem_document(document)
+        return self._ensure_columns().kernel.stem_document(document)
 
     def process(self, document: DocumentLike, is_html: bool = False) -> AnnotatedDocument:
         """Run the full pipeline on *document* (a string or shared tokens)."""
@@ -207,29 +313,37 @@ class ShortcutsPipeline:
         """The single-pass pipeline: every stage reads *document*'s
         shared token stream; the document is tokenized at most once.
 
-        ``score=False`` returns the same collision-resolved, deduplicated
-        detections with their 0.0 scores and builds no concept vector:
-        a caller that rescores every detection (the runtime ranker)
-        skips the baseline's term weights, unit segmentation and merge.
+        The detections are the :class:`Candidates` of one detector scan
+        plus the pattern matches.  ``score=False`` leaves them as
+        columns (0.0 scores, no :class:`Detection` built until read) and
+        builds no concept vector: a caller that rescores every detection
+        (the runtime ranker) skips the baseline's term weights, unit
+        segmentation and merge.
         """
-        kernel = self._ensure_kernel()
+        columns = self._ensure_columns()
         text = document.text
-
-        candidates: List[Detection] = []
-        candidates.extend(self._patterns.detect(text))
         # one scan serves both phrase detectors
-        concepts, named = kernel.scan(document)
-        if self._named is not None:
-            candidates.extend(self._named.detect_document(document, named))
-        candidates.extend(self._concepts.detect_document(document, concepts))
-
-        resolved = deduplicate(resolve_collisions(candidates))
-        if score:
-            vector = self._scorer.concept_vector(document)
-            resolved = [
-                d
-                if d.kind == KIND_PATTERN
-                else d.with_score(self._scorer.score_phrase(vector, d.phrase))
-                for d in resolved
-            ]
-        return AnnotatedDocument(text=text, detections=resolved, tokens=document)
+        concepts, named = columns.kernel.scan(document)
+        records = columns.records
+        candidates = Candidates(
+            text,
+            resolve_candidates(
+                text,
+                self._patterns.matches(text),
+                named,
+                entity_types([records[terminal] for __, __, terminal in named]),
+                concepts,
+            ),
+            columns,
+        )
+        if not score:
+            return AnnotatedDocument(text=text, detections=candidates, tokens=document)
+        vector = self._scorer.concept_vector(document)
+        score_phrase = self._scorer.score_phrase
+        detections = [
+            candidates.detection(
+                row, 0.0 if row[2] == PATTERN else score_phrase(vector, row[5])
+            )
+            for row in candidates.rows
+        ]
+        return AnnotatedDocument(text=text, detections=detections, tokens=document)

@@ -200,6 +200,12 @@ class InterestingnessExtractor:
     def extract_many(self, phrases: Sequence[str]) -> List[InterestingnessVector]:
         return [self.extract(phrase) for phrase in phrases]
 
+    def rows_of(self, phrases: Sequence[str]) -> List[str]:
+        """The rows :meth:`numeric_rows` reads: the phrases themselves,
+        since a live extractor computes any phrase (a store looks its
+        rows up instead)."""
+        return list(phrases)
+
     def numeric_rows(
         self, phrases: Sequence[str], exclude_groups: Sequence[str] = ()
     ) -> np.ndarray:

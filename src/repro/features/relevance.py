@@ -309,11 +309,17 @@ class RelevanceScorer:
             if term in context
         )
 
+    @staticmethod
+    def rows_of(phrases: Sequence[str]) -> List[str]:
+        """The rows :meth:`score_many` scores: the phrases themselves
+        (a store looks its arena rows up instead)."""
+        return list(phrases)
+
     def score_many(self, phrases: Sequence[str], context: Set[str]) -> List[float]:
         """Per-phrase scores for one shared context.
 
-        The reference implementation just loops; store-backed scorers
-        override this with a single vectorized arena pass.
+        The reference implementation just loops; the serving stores
+        score their arena rows in one vectorized pass instead.
         """
         return [self.score(phrase, context) for phrase in phrases]
 

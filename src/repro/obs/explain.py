@@ -2,12 +2,11 @@
 
 The deployed ranking model is a linear RankSVM over standardized
 features, so every decision score is an exact sum of per-feature terms
-``w_j * (x_j - mean_j) / scale_j``.  :func:`explain_document` ranks
-with :meth:`ConceptRanker.rank_scored
-<repro.ranking.model.ConceptRanker.rank_scored>`, the ranker's one
-scoring pass, and decomposes the feature matrix, relevance and decision
-scores that pass hands back into one :class:`RankExplanation` per
-ranked concept:
+``w_j * (x_j - mean_j) / scale_j``.  :func:`explain_ranking`
+decomposes the feature matrix, relevance and decision scores of the
+ranker's one scoring pass (:meth:`ConceptRanker.scoring_pass
+<repro.ranking.model.ConceptRanker.scoring_pass>`) into one
+:class:`RankExplanation` per ranked concept:
 
 * a :class:`FeatureContribution` per model column — raw model-space
   value, standardized value, learned weight, and the additive
@@ -30,18 +29,15 @@ explanation requests against an RBF model raise ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
-from repro.detection.base import Detection
-from repro.detection.pipeline import AnnotatedDocument
 from repro.features.interestingness import FEATURE_GROUPS
-from repro.obs.trace import NULL_CLOCK
-from repro.ranking.model import ConceptRanker
+from repro.ranking.model import ConceptRanker, ScoringPass
 
 __all__ = [
     "FeatureContribution",
     "RankExplanation",
-    "explain_document",
+    "explain_ranking",
     "feature_group_of",
 ]
 
@@ -129,19 +125,22 @@ class RankExplanation:
         }
 
 
-def explain_document(
-    ranker: ConceptRanker, annotated: AnnotatedDocument, clock=NULL_CLOCK
-) -> Tuple[List[Detection], List[RankExplanation]]:
-    """``ranker.rank_document(annotated)`` plus one explanation per
-    detection, from the same scoring pass.
+def explain_ranking(
+    ranker: ConceptRanker,
+    scored: ScoringPass,
+    order: Sequence[int],
+    phrases: Sequence[str],
+) -> List[RankExplanation]:
+    """One explanation per ranked phrase of one scoring pass.
 
-    ``explanations[i]`` explains ``ranked[i]`` (``rank == i``); *clock*
-    laps ``rank`` as :meth:`ConceptRanker.scoring_pass` does.  The
-    decomposition raises ``ValueError`` for a non-linear model.
+    *order* ranks the pass's rows (``order[i]`` is ranked *i*) and
+    ``phrases[i]`` names rank *i*; there may be fewer phrases than rows
+    (a top-N cut), and only those are explained.  The decomposition
+    raises ``ValueError`` for a non-linear model whenever anything was
+    ranked.
     """
-    ranked, scored, order = ranker.rank_scored(annotated, clock)
-    if not ranked:
-        return ranked, []
+    if not len(order):
+        return []
     features = scored.features
     model = ranker.model
     contributions = model.feature_contributions(features)
@@ -154,11 +153,11 @@ def explain_document(
         )
     groups = [feature_group_of(name) for name in names]
     weights = model.weights_
-    explanations = [
+    return [
         RankExplanation(
-            phrase=detection.phrase,
+            phrase=phrase,
             rank=rank,
-            score=detection.score,
+            score=float(scored.scores[row]),
             decision_score=float(scored.decision[row]),
             tie_break=float(scored.scores[row] - scored.decision[row]),
             relevance=float(scored.relevance[row]),
@@ -174,6 +173,6 @@ def explain_document(
                 for column in range(features.shape[1])
             ],
         )
-        for rank, (detection, row) in enumerate(zip(ranked, order))
+        for rank, (row, phrase) in enumerate(zip(order, phrases))
     ]
-    return ranked, explanations
+

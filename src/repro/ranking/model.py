@@ -38,6 +38,13 @@ class FeatureAssembler:
     interestingness-only model.  *exclude_groups* removes feature
     groups for the Table III ablations.  The assembler keeps no state
     of its own, so one instance serves concurrent requests.
+
+    Candidates are given by each source's rows, what its ``rows_of``
+    returns for their phrases and its batch call reads: row numbers for
+    the serving stores, the phrases themselves for a live source.  The
+    runtime service maps its scan's terminals to store rows once, so
+    per document it looks no phrase up; phrase callers go through
+    :meth:`rows_of`.
     """
 
     extractor: InterestingnessExtractor
@@ -54,16 +61,31 @@ class FeatureAssembler:
         relevance = self.relevance_scorer.score(phrase, context)
         return np.concatenate([base, [np.log1p(relevance)]])
 
+    def rows_of(self, phrases: Sequence[str]) -> Tuple[Sequence, Optional[Sequence]]:
+        """``(rows, relevance_rows)`` of *phrases*: the extractor's rows
+        and the relevance scorer's (None without one), for
+        :meth:`matrix_and_relevance`."""
+        relevance_rows = (
+            self.relevance_scorer.rows_of(phrases)
+            if self.relevance_scorer is not None
+            else None
+        )
+        return self.extractor.rows_of(phrases), relevance_rows
+
     def matrix(
         self, phrases: Sequence[str], context: Optional[Set[str]] = None
     ) -> np.ndarray:
         """Feature matrix for many phrases sharing one context."""
-        return self.matrix_and_relevance(phrases, context)[0]
+        return self.matrix_and_relevance(*self.rows_of(phrases), context)[0]
 
     def matrix_and_relevance(
-        self, phrases: Sequence[str], context: Optional[Set[str]] = None
+        self,
+        rows: Sequence,
+        relevance_rows: Optional[Sequence],
+        context: Optional[Set[str]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(feature matrix, raw relevance scores) with one batched lookup.
+        """(feature matrix, raw relevance scores) of the candidates whose
+        extractor rows are *rows* and relevance rows *relevance_rows*.
 
         The interestingness columns come from one ``numeric_rows`` call
         and the relevance column from one ``score_many`` call against
@@ -71,24 +93,19 @@ class FeatureAssembler:
         are returned alongside the matrix so rankers can reuse them for
         tie-breaking without scoring twice.
         """
-        base = self.extractor.numeric_rows(phrases, self.exclude_groups)
+        base = self.extractor.numeric_rows(rows, self.exclude_groups)
         if self.relevance_scorer is None:
-            return base, np.zeros(len(phrases))
+            return base, np.zeros(len(rows))
         if context is None:
             raise ValueError("relevance-enabled assembler requires a context")
-        relevance = self._batched_scores(phrases, context)
+        relevance = np.asarray(
+            self.relevance_scorer.score_many(relevance_rows, context), dtype=float
+        )
         width = base.shape[1]
-        features = np.empty((len(phrases), width + 1))
+        features = np.empty((len(rows), width + 1))
         features[:, :width] = base
         features[:, width] = np.log1p(relevance)
         return features, relevance
-
-    def _batched_scores(
-        self, phrases: Sequence[str], context: Set[str]
-    ) -> np.ndarray:
-        return np.asarray(
-            self.relevance_scorer.score_many(phrases, context), dtype=float
-        )
 
     def feature_names(self) -> List[str]:
         """Column names of :meth:`matrix` / :meth:`matrix_and_relevance`."""
@@ -112,9 +129,12 @@ class FeatureAssembler:
         self, phrases: Sequence[str], context: Optional[Set[str]]
     ) -> np.ndarray:
         """Raw relevance scores (zeros when no relevance scorer)."""
-        if self.relevance_scorer is None or context is None:
+        scorer = self.relevance_scorer
+        if scorer is None or context is None:
             return np.zeros(len(phrases))
-        return self._batched_scores(phrases, context)
+        return np.asarray(
+            scorer.score_many(scorer.rows_of(phrases), context), dtype=float
+        )
 
 
 @dataclass(frozen=True)
@@ -132,6 +152,11 @@ class ScoringPass:
     relevance: np.ndarray
     decision: np.ndarray
     scores: np.ndarray
+
+    def order(self) -> List[int]:
+        """The candidates' row numbers, best score first; ties keep
+        candidate order."""
+        return np.argsort(-self.scores, kind="stable").tolist()
 
 
 class ConceptRanker:
@@ -160,21 +185,28 @@ class ConceptRanker:
         return self._model
 
     def scoring_pass(
-        self, phrases: Sequence[str], text: DocumentLike, clock=NULL_CLOCK
+        self,
+        rows: Sequence,
+        relevance_rows: Optional[Sequence],
+        text: DocumentLike,
+        clock=NULL_CLOCK,
     ) -> ScoringPass:
-        """Score candidate *phrases* of document *text*.
+        """Score the candidates of document *text* given by their
+        feature rows (:meth:`FeatureAssembler.rows_of`).
 
         *clock* laps ``rank`` once the feature matrix is assembled, so
         a caller's running stage covers the context stems, the store
         lookups and the relevance summations, and ``rank`` covers model
         inference onward.
         """
-        if not phrases:
+        if not len(rows):
             clock.lap("rank")
             empty = np.zeros(0)
             return ScoringPass(np.zeros((0, 0)), empty, empty, empty)
         context = self._assembler.context_of(text)
-        features, relevance = self._assembler.matrix_and_relevance(phrases, context)
+        features, relevance = self._assembler.matrix_and_relevance(
+            rows, relevance_rows, context
+        )
         clock.lap("rank")
         if self.feature_observer is not None:
             self.feature_observer(features)
@@ -188,31 +220,16 @@ class ConceptRanker:
         self, phrases: Sequence[str], text: DocumentLike, clock=NULL_CLOCK
     ) -> np.ndarray:
         """Model scores for candidate *phrases* of document *text*."""
-        return self.scoring_pass(phrases, text, clock).scores
+        return self.scoring_pass(
+            *self._assembler.rows_of(phrases), text, clock
+        ).scores
 
     def rank_phrases(
         self, phrases: Sequence[str], text: str
     ) -> List[Tuple[str, float]]:
         """(phrase, score) in decreasing score order."""
-        scores = self.score_phrases(phrases, text)
-        order = np.argsort(-scores, kind="stable")
-        return [(phrases[int(i)], float(scores[int(i)])) for i in order]
-
-    def rank_scored(
-        self, annotated: AnnotatedDocument, clock=NULL_CLOCK
-    ) -> Tuple[List[Detection], ScoringPass, List[int]]:
-        """``(ranked detections, scoring pass, order)``: ``ranked[i]``
-        is rankable detection ``order[i]``, scored by row ``order[i]``
-        of the pass."""
-        rankable = annotated.rankable()
-        source: DocumentLike = (
-            annotated.tokens if annotated.tokens is not None else annotated.text
-        )
-        scored = self.scoring_pass([d.phrase for d in rankable], source, clock)
-        scores = scored.scores
-        order = np.argsort(-scores, kind="stable").tolist()
-        ranked = [rankable[i].with_score(float(scores[i])) for i in order]
-        return ranked, scored, order
+        scored = self.scoring_pass(*self._assembler.rows_of(phrases), text)
+        return [(phrases[i], float(scored.scores[i])) for i in scored.order()]
 
     def rank_document(
         self, annotated: AnnotatedDocument, clock=NULL_CLOCK
@@ -225,7 +242,15 @@ class ConceptRanker:
         reuses it; otherwise the text is re-analysed.  *clock* laps
         ``rank`` as in :meth:`scoring_pass`.
         """
-        return self.rank_scored(annotated, clock)[0]
+        rankable = annotated.rankable()
+        source: DocumentLike = (
+            annotated.tokens if annotated.tokens is not None else annotated.text
+        )
+        scored = self.scoring_pass(
+            *self._assembler.rows_of([d.phrase for d in rankable]), source, clock
+        )
+        scores = scored.scores
+        return [rankable[i].with_score(float(scores[i])) for i in scored.order()]
 
     def top_detections(
         self, annotated: AnnotatedDocument, count: int

@@ -30,7 +30,7 @@ that and times the overhead).
 
 Ranking-quality observability rides on the same path: ``process(...,
 explain=True)`` decomposes the ranker's own scoring pass per feature
-(:func:`~repro.obs.explain.explain_document`: same floats, same order),
+(:func:`~repro.obs.explain.explain_ranking`: same floats, same order),
 an attached :class:`~repro.obs.quality.QualityMonitor` sees every ranking,
 and an attached :class:`~repro.obs.quality.DriftDetector` taps every
 assembled feature matrix through ``ConceptRanker.feature_observer``.
@@ -40,8 +40,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.detection.base import Detection
-from repro.detection.pipeline import AnnotatedDocument, ShortcutsPipeline
+from repro.detection.pipeline import PATTERN, ShortcutsPipeline, TerminalColumns
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
@@ -49,7 +51,7 @@ from repro.obs import (
     get_registry,
     get_tracer,
 )
-from repro.obs.explain import explain_document
+from repro.obs.explain import explain_ranking
 from repro.obs.trace import StageClock
 from repro.ranking.model import ConceptRanker, FeatureAssembler
 from repro.ranking.ranksvm import RankSVM
@@ -76,6 +78,12 @@ class RankerService:
     are immutable, so concurrent ``process`` calls (the telemetry
     server runs one thread per request) share them without a lock.
 
+    Candidates stay ids from the scan to the sort: each terminal of the
+    pipeline's detector scan is mapped once, per kernel, to its store
+    rows (:meth:`_terminal_rows`), so a document's store filter and
+    feature rows are list reads, and :class:`Detection` objects are
+    built only for the list :meth:`process` returns.
+
     *registry*/*tracer* default to the process-wide pair from
     :mod:`repro.obs`; pass explicit ones to isolate a service's
     telemetry (tests and benches do: :meth:`throughput` reads the
@@ -96,6 +104,9 @@ class RankerService:
         drift=None,
     ):
         self._pipeline = pipeline
+        # (terminal columns, interestingness rows, relevance rows): the
+        # store rows of each terminal of the pipeline kernel's scan
+        self._rows: Optional[Tuple[TerminalColumns, List[int], List[int]]] = None
         assembler = FeatureAssembler(
             extractor=interestingness_store,
             relevance_scorer=relevance_store,
@@ -188,6 +199,32 @@ class RankerService:
             components["relevance_store"] = relevance
         return record_resident_bytes(components, registry=self._registry)
 
+    def _terminal_rows(
+        self, columns: TerminalColumns
+    ) -> Tuple[TerminalColumns, List[int], List[int]]:
+        """Each terminal's interestingness-store row and relevance-arena
+        row (-1 where absent, and at states that end no phrase), looked
+        up once per attached kernel by its canonical phrase."""
+        rows = self._rows
+        if rows is not None and rows[0] is columns:
+            return rows
+        keys = columns.keys
+        phrases = [key for key in keys if key is not None]
+
+        def column(store) -> List[int]:
+            found = dict(zip(phrases, store.rows_of(phrases).tolist()))
+            return [found.get(key, -1) for key in keys]
+
+        relevance = self._assembler.relevance_scorer
+        # published with one assignment: two threads mapping a new
+        # kernel at once can at worst both build it
+        rows = self._rows = (
+            columns,
+            column(self._store),
+            column(relevance) if relevance is not None else [-1] * len(keys),
+        )
+        return rows
+
     def process(
         self, text: str, top: Optional[int] = None, explain: bool = False
     ):
@@ -214,30 +251,46 @@ class RankerService:
             clock.lap("detect")
             # Unscored: the ranker below overwrites every detection's score,
             # so the concept-vector baseline would be discarded work.
-            annotated = self._pipeline.process_document(document, score=False)
+            candidates = self._pipeline.process_document(
+                document, score=False
+            ).detections
             clock.lap("features")
+            columns, interestingness, relevance = self._terminal_rows(
+                candidates.columns
+            )
+            keys = columns.keys
+            # The store filter: a phrase the interestingness store holds,
+            # written as its canonical phrase.  A concept written across
+            # a newline, a double space or a hyphen is detected but not
+            # ranked: its surface key is no store phrase.
             known = [
-                d for d in annotated.rankable() if d.phrase in self._store
+                row
+                for row in candidates.rows
+                if row[2] != PATTERN
+                and interestingness[row[3]] >= 0
+                and row[5] == keys[row[3]]
             ]
-            pruned = AnnotatedDocument(
-                text=annotated.text, detections=known, tokens=document
+            rows = np.array([interestingness[row[3]] for row in known], dtype=np.int64)
+            relevance_rows = np.array(
+                [relevance[row[3]] for row in known], dtype=np.int64
             )
             # The ranker laps "rank" once the feature matrix is built.
+            scored = self._ranker.scoring_pass(
+                rows, relevance_rows, document, clock
+            )
+            order = scored.order()
+            scores = scored.scores.tolist()
+            returned = order if top is None else order[:top]
+            ranked = [candidates.detection(known[i], scores[i]) for i in returned]
             explanations = None
             if explain:
-                ranked, explanations = explain_document(
-                    self._ranker, pruned, clock
+                explanations = explain_ranking(
+                    self._ranker, scored, order, [d.phrase for d in ranked]
                 )
-            else:
-                ranked = self._ranker.rank_document(pruned, clock)
-            if self.quality is not None and ranked:
+            if self.quality is not None and order:
                 self.quality.observe_ranking(
-                    [d.phrase for d in ranked], [d.score for d in ranked]
+                    [known[i][5] for i in order], [scores[i] for i in order]
                 )
-            if top is not None:
-                ranked = ranked[:top]
-                if explanations is not None:
-                    explanations = explanations[:top]
         finally:
             # Also on failure: a raised stage must not stay published
             # to the profiler's thread->stage map.

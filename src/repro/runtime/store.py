@@ -10,8 +10,9 @@ The store is immutable: ONE contiguous ``uint16`` matrix of 9 fields
 per concept (a fixed-stride columnar arena), a phrase -> row table, and
 the dequantized model-ready matrix derived from them once, at
 construction.  ``extract(phrase)`` makes it a drop-in for the live
-:class:`~repro.features.interestingness.InterestingnessExtractor`, and
-``numeric_rows`` serves the ranker's feature matrix as one row gather.
+:class:`~repro.features.interestingness.InterestingnessExtractor`;
+``rows_of`` looks phrases up once and ``numeric_rows`` serves the
+ranker's feature matrix as one gather of those rows.
 Data-pack loads adopt the ``uint16`` matrix as a zero-copy view over
 the mapped pack.
 """
@@ -137,16 +138,25 @@ class QuantizedInterestingnessStore:
         is ``extract(phrases()[i]).numeric(())``."""
         return self._numeric
 
-    def numeric_rows(
-        self, phrases: Sequence[str], exclude_groups: Sequence[str] = ()
-    ) -> np.ndarray:
-        """``extract(p).numeric(exclude_groups)`` for each phrase, as one
-        gather of :attr:`dequantized` rows (the kept columns only)."""
+    def rows_of(self, phrases: Sequence[str]) -> np.ndarray:
+        """The ``int64`` row of each phrase (case-insensitive), -1 where
+        the store has none."""
         index = self._index
-        try:
-            rows = [index[phrase.lower()] for phrase in phrases]
-        except KeyError as error:
-            raise KeyError(f"unknown concept: {error.args[0]!r}") from None
+        return np.fromiter(
+            (index.get(phrase.lower(), -1) for phrase in phrases),
+            dtype=np.int64,
+            count=len(phrases),
+        )
+
+    def numeric_rows(
+        self, rows: Sequence[int], exclude_groups: Sequence[str] = ()
+    ) -> np.ndarray:
+        """``extract(p).numeric(exclude_groups)`` for the phrase of each
+        row (:meth:`rows_of`), as one gather of :attr:`dequantized` rows
+        (the kept columns only).  A row of -1 raises ``KeyError``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and rows.min() < 0:
+            raise KeyError("unknown concept")
         self._m_lookups.inc(len(rows))
         if exclude_groups:
             return self._numeric[np.ix_(rows, numeric_columns(exclude_groups))]

@@ -200,8 +200,9 @@ class PackedRelevanceStore:
     """Concept -> packed (TID, score) pairs; the runtime relevance scorer.
 
     Drop-in for :class:`repro.features.relevance.RelevanceScorer`: it
-    exposes ``context_stems`` (returning a sorted TID array) and
-    ``score``/``score_many``.  Immutable: the store serves one columnar
+    exposes ``context_stems`` (returning a sorted TID array),
+    ``rows_of`` and ``score``/``score_many``, the batch call by arena
+    row.  Immutable: the store serves one columnar
     *arena* (:meth:`build` packs a relevance model into a
     :class:`~repro.runtime.arena.PhraseArena`; data-pack loads pass
     zero-copy views, with the mapped pack as *backing*, held for the
@@ -273,34 +274,41 @@ class PackedRelevanceStore:
             return kernel.tid_context(text, self._tids)
         return self._tids.tid_context(stemmed_terms(text))
 
+    def rows_of(self, phrases: Sequence[str]) -> np.ndarray:
+        """The ``int64`` arena row of each phrase (case-insensitive), -1
+        where the store has none: the rows :meth:`score_many` scores."""
+        lookup = self._arena.rows.get
+        return np.fromiter(
+            (lookup(phrase.lower(), -1) for phrase in phrases),
+            dtype=np.int64,
+            count=len(phrases),
+        )
+
     def score(self, phrase: str, context) -> float:
         """Summed dequantized scores of the concept's TIDs in context."""
         self._m_lookups.inc()
-        return float(self.score_many([phrase], context)[0])
+        return float(self.score_many(self.rows_of([phrase]), context)[0])
 
-    def score_many(self, phrases: Sequence[str], context) -> np.ndarray:
-        """Vectorized scores for many phrases sharing one context.
+    def score_many(self, rows: Sequence[int], context) -> np.ndarray:
+        """Vectorized scores of many arena rows sharing one context.
 
-        One flat gather + one sorted-intersect over every requested
+        *rows* come from :meth:`rows_of`; a row of -1 scores 0.0.  One
+        flat gather + one sorted-intersect over every requested
         segment; only the matched pairs are dequantized, and
-        ``np.bincount`` adds each phrase's matches left to right, in
-        the seed per-element loop's order, so every total is bit-for-bit
+        ``np.bincount`` adds each row's matches left to right, in the
+        seed per-element loop's order, so every total is bit-for-bit
         the seed's.
         """
-        self._m_batch.observe(len(phrases))
-        totals = np.zeros(len(phrases))
+        self._m_batch.observe(len(rows))
+        totals = np.zeros(len(rows))
         ctx = as_tid_context(context)
-        if ctx is None or not len(phrases):
+        if ctx is None or not len(rows):
             return totals
-        arena = self._arena
-        lookup = arena.rows.get
-        rows = np.asarray(
-            [lookup(phrase.lower(), -1) for phrase in phrases], dtype=np.int64
-        )
+        rows = np.asarray(rows, dtype=np.int64)
         valid = np.flatnonzero(rows >= 0)
         if not valid.size:
             return totals
-        values, bounds = arena.gather(rows[valid])
+        values, bounds = self._arena.gather(rows[valid])
         if not values.size:
             return totals
         hits = np.flatnonzero(sorted_membership(ctx, values >> SCORE_BITS))
@@ -308,9 +316,9 @@ class PackedRelevanceStore:
             return totals
         matched = (values[hits] & MAX_SCORE_CODE).astype(np.float64)
         matched = matched / MAX_SCORE_CODE * self.score_max
-        # map each hit back to the phrase whose segment contains it
+        # map each hit back to the row whose segment contains it
         owners = valid[bounds.searchsorted(hits, side="right")]
-        return np.bincount(owners, weights=matched, minlength=len(phrases))
+        return np.bincount(owners, weights=matched, minlength=len(rows))
 
     def score_text(self, phrase: str, text: str) -> float:
         return self.score(phrase, self.context_stems(text))

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Union
 
+import numpy as np
+
 from repro.text.stemmer import stem
 from repro.text.stopwords import is_stopword
 from repro.text.tokenizer import word_spans
@@ -36,12 +38,13 @@ class TokenizedDocument:
     The views mirror the seed's per-stage computations exactly:
 
     * ``words``         -- ``tokenize_lower(text)``
-    * ``word_starts``/``word_ends`` -- the words' char spans
+    * ``word_starts``/``word_ends`` -- the words' char spans (``int64``
+      arrays)
     * ``stemmed_terms`` -- ``features.relevance.stemmed_terms(text)``
     * ``stem_set``      -- the relevance scorer's context set
     * ``token_ids``     -- interned ids against a kernel's interner
 
-    Cached lists are shared with callers; treat them as read-only.
+    Cached views are shared with callers; treat them as read-only.
     """
 
     __slots__ = (
@@ -60,8 +63,8 @@ class TokenizedDocument:
     def __init__(self, text: str):
         self.text = text
         self._words: Optional[List[str]] = None
-        self._word_starts: Optional[List[int]] = None
-        self._word_ends: Optional[List[int]] = None
+        self._word_starts: Optional[np.ndarray] = None
+        self._word_ends: Optional[np.ndarray] = None
         self._stemmed_terms: Optional[List[str]] = None
         self._stem_set: Optional[Set[str]] = None
         self._interner = None
@@ -89,14 +92,14 @@ class TokenizedDocument:
         return self._words
 
     @property
-    def word_starts(self) -> List[int]:
-        """Character start offset of each word token."""
+    def word_starts(self) -> np.ndarray:
+        """Character start offset of each word token (``int64``)."""
         self._ensure_words()
         return self._word_starts
 
     @property
-    def word_ends(self) -> List[int]:
-        """Character end offset of each word token."""
+    def word_ends(self) -> np.ndarray:
+        """Character end offset of each word token (``int64``)."""
         self._ensure_words()
         return self._word_ends
 
@@ -138,8 +141,6 @@ class TokenizedDocument:
         """The :meth:`token_ids` list as a cached ``int32`` numpy array."""
         ids = self.token_ids(interner)
         if self._token_id_array is None:
-            import numpy as np
-
             self._token_id_array = np.asarray(ids, dtype=np.int32)
         return self._token_id_array
 

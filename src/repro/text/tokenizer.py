@@ -134,9 +134,11 @@ def word_spans(text: str):
     """``(words, starts, ends)``: :func:`tokenize_lower` plus each word's
     character span.
 
-    This is the serving path's word pass: the lists feed the shared
+    This is the serving path's word pass: it feeds the shared
     ``TokenizedDocument`` views and the compiled detection kernels.
-    Counts as one word pass.
+    *starts* and *ends* are ``int64`` arrays: a document's offsets are
+    read only at its matched spans, so they never become lists.  Counts
+    as one word pass.
     """
     next(_counter)
     if not text.isascii():
@@ -149,14 +151,18 @@ def word_spans(text: str):
                 words.append(token.lower())
                 starts.append(match.start())
                 ends.append(match.end())
-        return words, starts, ends
+        return (
+            words,
+            np.array(starts, dtype=np.int64),
+            np.array(ends, dtype=np.int64),
+        )
     # The words are the masked text's space-separated runs.  A word's
     # bounds are the edges of the mask, whose padding byte shifts each
     # edge's index onto the word's character offset.
     masked = _word_mask(text)
     in_word = np.frombuffer(masked, dtype=np.uint8) != _SPACE
     edges = np.flatnonzero(in_word[1:] != in_word[:-1])
-    return masked.decode("ascii").split(), edges[0::2].tolist(), edges[1::2].tolist()
+    return masked.decode("ascii").split(), edges[0::2], edges[1::2]
 
 
 def tokenize_lower(text: str) -> List[str]:

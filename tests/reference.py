@@ -16,6 +16,8 @@ production paths against them:
 
 * :func:`seed_matcher_find` — the seed phrase matcher (first-term
   candidate lists, longest-first, resume past each match);
+* :func:`scan_matches` — a kernel's detector scan in that matcher's
+  terms;
 * :func:`longest_match_ends` — the full match set before that greedy
   reduction: the end of the longest phrase starting at each word;
 * :func:`term_vector` / :func:`unit_weights` / :func:`unit_vector` —
@@ -26,16 +28,31 @@ production paths against them:
   ``FlatAutomaton.compile`` did before it resolved rows in numpy;
 * :func:`phrase_states` / :func:`terminal_of` — an automaton's
   inventory recovered by a queue BFS over its delta column, one state
-  and one symbol at a time, and the state a phrase walks to.
+  and one symbol at a time, and the state a phrase walks to;
+
+* :data:`EMAIL_RE` — the email regular expression the pattern
+  detector's linear scan reproduces;
+* the string path from the scan to the sort, as the pipeline and the
+  service ran it before both carried terminal ids:
+  :func:`string_candidates` (each detector's :class:`Detection` list,
+  :func:`resolve_collisions`, :func:`deduplicate`),
+  :func:`string_baseline` (their concept-vector scores) and
+  :func:`string_ranking` (``d.phrase in store``, then features looked
+  up by phrase, one candidate at a time).
 """
 
 import math
 import re
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.detection.base import KIND_PATTERN, KIND_PRIORITY
 from repro.detection.kernel import phrase_inventory
+from repro.ranking.baselines import tie_break_by_relevance
 from repro.text.stemmer import stem
 from repro.text.stopwords import is_stopword
 from repro.text.vectorize import DocumentFrequencyTable, TermVector
@@ -287,6 +304,16 @@ def seed_matcher_find(phrases, text):
     return matches
 
 
+def scan_matches(kernel, document):
+    """``kernel.scan(document)``'s terminal spans as the seed matcher's
+    ``(phrase, start, end)`` triples: (concept matches, named matches)."""
+    phrases = kernel.phrases
+    return tuple(
+        [(phrases[terminal], start, end) for start, end, terminal in spans]
+        for spans in kernel.scan(document)
+    )
+
+
 def longest_match_ends(phrases, words: Sequence[str]) -> Dict[int, int]:
     """start -> end of the longest phrase of *phrases* that starts at
     word *start* of *words*, for every start where one does."""
@@ -460,3 +487,93 @@ def terminal_of(automaton, phrase) -> int:
             return 0
         state = delta[state * automaton.alphabet_size + sym[vid]]
     return state
+
+
+EMAIL_RE = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}\b")
+
+
+def priority(detection):
+    """Collision priority: longer spans win, then kind priority."""
+    return (detection.end - detection.start, KIND_PRIORITY.get(detection.kind, 0))
+
+
+def overlaps(first, second):
+    return first.start < second.end and second.start < first.end
+
+
+def resolve_collisions(detections):
+    """Drop overlapping detections, keeping the higher-priority span
+    (longer first, then pattern > named > concept, then start), with a
+    bisect over the kept spans."""
+    ordered = sorted(
+        detections, key=lambda d: (-priority(d)[0], -priority(d)[1], d.start)
+    )
+    kept = []
+    spans = []  # kept (start, end), kept sorted
+    for candidate in ordered:
+        before = bisect_left(spans, (candidate.end,))
+        if before and spans[before - 1][1] > candidate.start:
+            continue
+        insort(spans, (candidate.start, candidate.end))
+        kept.append(candidate)
+    kept.sort(key=lambda d: d.start)
+    return kept
+
+
+def deduplicate(detections):
+    """Keep only the first occurrence of each phrase key."""
+    seen = {}
+    for detection in detections:
+        if detection.phrase not in seen:
+            seen[detection.phrase] = detection
+    return sorted(seen.values(), key=lambda d: d.start)
+
+
+def string_candidates(pipeline, text):
+    """*pipeline*'s unscored candidates of *text* on the string path:
+    every detector's own ``detect``, then collisions, then dedup."""
+    candidates = list(pipeline._patterns.detect(text))
+    if pipeline._named is not None:
+        candidates.extend(pipeline._named.detect(text))
+    candidates.extend(pipeline._concepts.detect(text))
+    return deduplicate(resolve_collisions(candidates))
+
+
+def string_baseline(pipeline, text):
+    """``pipeline.process(text).detections`` on the string path."""
+    scorer = pipeline._scorer
+    vector = scorer.concept_vector(text)
+    return [
+        d
+        if d.kind == KIND_PATTERN
+        else d.with_score(scorer.score_phrase(vector, d.phrase))
+        for d in string_candidates(pipeline, text)
+    ]
+
+
+def string_ranking(service, text):
+    """Every ranked detection of ``service.process(text)``, best first,
+    on the string path: the candidates whose phrase the
+    interestingness store holds, each feature row extracted and each
+    relevance scored by phrase, then the decision, the relevance
+    tie-break and a stable sort."""
+    store = service._store
+    assembler = service._assembler
+    relevance = assembler.relevance_scorer
+    known = [
+        d
+        for d in string_candidates(service._pipeline, text)
+        if d.kind != KIND_PATTERN and d.phrase in store
+    ]
+    if not known:
+        return []
+    rows = [store.extract(d.phrase).numeric(assembler.exclude_groups) for d in known]
+    scores = np.zeros(len(known))
+    if relevance is not None:
+        context = relevance.context_stems(text)
+        scores = np.array([relevance.score(d.phrase, context) for d in known])
+        rows = [np.append(row, np.log1p(score)) for row, score in zip(rows, scores)]
+    decision = service._model.decision_function(np.vstack(rows))
+    ranked = tie_break_by_relevance(decision, scores)
+    order = np.argsort(-ranked, kind="stable")
+    return [known[i].with_score(float(ranked[i])) for i in order]

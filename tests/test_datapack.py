@@ -114,7 +114,7 @@ class TestRelevanceStorePersistence:
         assert len(loaded) == 0
         assert loaded.memory_bytes() == 0
         assert loaded.score("anything", {1, 2}) == 0.0
-        assert loaded.score_many(["a", "b"], {1}).tolist() == [0.0, 0.0]
+        assert loaded.score_many(loaded.rows_of(["a", "b"]), {1}).tolist() == [0.0, 0.0]
 
     def test_max_tid_boundary_round_trip(self, tmp_path):
         # Plant a term at the very top of the 22-bit TID space; packing,

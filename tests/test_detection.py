@@ -1,5 +1,7 @@
 """Tests for pattern/named/concept detectors, matcher, and pipeline."""
 
+import timeit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,14 +10,22 @@ from repro.detection import (
     KIND_CONCEPT,
     KIND_NAMED,
     KIND_PATTERN,
+    ConceptDetector,
     Detection,
     PatternDetector,
-    deduplicate,
-    resolve_collisions,
 )
 from repro.detection.base import PhraseDetector
-from repro.detection.patterns import _PATTERNS
+from repro.detection.kernel import FlatAutomaton, StemTable
+from repro.detection.patterns import _PATTERNS, _email_spans
+from repro.querylog.units import UnitLexicon
 from repro.text import TokenizedDocument
+from tests.reference import (
+    EMAIL_RE,
+    deduplicate,
+    overlaps,
+    priority,
+    resolve_collisions,
+)
 
 # Pieces that join into pattern entities, their near misses, and digits
 # of several scripts, so random texts hit every gate both ways.
@@ -69,9 +79,9 @@ class TestPatternDetector:
     def test_gates_skip_only_scans_that_find_nothing(self, text):
         ungated = sorted(
             (
-                (match.start(), match.end(), entity_type)
-                for entity_type, regex, __ in _PATTERNS
-                for match in regex.finditer(text)
+                (start, end, entity_type)
+                for entity_type, spans, __ in _PATTERNS
+                for start, end in spans(text)
             ),
             key=lambda hit: (hit[0], hit[0] - hit[1]),
         )
@@ -87,6 +97,54 @@ class TestPatternDetector:
 
     def test_clean_text_no_hits(self):
         assert self.detector.detect("no patterns here at all") == []
+
+
+# Pieces of email-like text: every character class the expression
+# treats apart (local-part-only symbols, domain symbols, letters,
+# digits, "_" and non-ASCII word characters, separators) and runs of
+# dotted labels around "@".
+_EMAIL_PIECES = [
+    "a", "Z", "9", "_", "é", ".", "-", "%", "+", "@", " ", "\n", "ab", "co",
+    "a.", ".com", "x.y", "a@b.co", "@@", "a1", "..",
+]
+
+
+class TestEmailScan:
+    """The "@"-anchored scan finds what the email regular expression
+    (kept in ``tests/reference.py``) finds, in linear time."""
+
+    @given(
+        st.lists(st.sampled_from(_EMAIL_PIECES), max_size=30).map("".join)
+        | st.text(max_size=40)
+    )
+    @settings(max_examples=500)
+    def test_matches_the_regex(self, text):
+        assert _email_spans(text) == [m.span() for m in EMAIL_RE.finditer(text)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a@b.co.d@e.ff",
+            "a@b.cc@d.ee",
+            "x_a@b.co",
+            "é.a@b.co é@b.co",
+            "a@b.co1 a@b.c",
+            "a." * 40 + "@" + "a." * 40 + "aa",
+        ],
+    )
+    def test_matches_the_regex_on_edge_cases(self, text):
+        assert _email_spans(text) == [m.span() for m in EMAIL_RE.finditer(text)]
+
+    def test_time_grows_linearly(self):
+        """A dotted run around one "@" made the regex quadratic (a ratio
+        near 64 for 8x the text); the scan's ratio is near 8."""
+        detector = PatternDetector()
+
+        def seconds(n):
+            text = "a." * n + "@" + "a." * n
+            return min(timeit.repeat(lambda: detector.matches(text), number=1, repeat=7))
+
+        assert seconds(16_000) / seconds(2_000) < 24
 
 
 class TestPhraseMatcher:
@@ -124,6 +182,30 @@ class TestPhraseMatcher:
         matches = find([("a", "b"), ("b", "c")], "a b c")
         assert len(matches) == 1
         assert matches[0][0] == ("a", "b")
+
+    def test_compiles_only_its_scan(self, monkeypatch):
+        """One automaton over the inventory's own tokens, and no stem
+        table: a detector on its own reads neither a kernel nor stems."""
+        compiled = []
+        compile_flat = FlatAutomaton.compile.__func__
+
+        def counted(cls, *args, **kwargs):
+            compiled.append(cls)
+            return compile_flat(cls, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a detector on its own built a stem table")
+
+        monkeypatch.setattr(FlatAutomaton, "compile", classmethod(counted))
+        monkeypatch.setattr(StemTable, "__init__", refused)
+        detector = ConceptDetector([("global", "warming"), ("cuba",)], UnitLexicon([]))
+        detections = detector.detect("Cuba talks on global warming")
+        assert [(d.text, d.start) for d in detections] == [
+            ("Cuba", 0),
+            ("global warming", 14),
+        ]
+        assert compiled == [FlatAutomaton]
+        assert sorted(detector._scan.base.interner.terms) == ["cuba", "global", "warming"]
 
 
 class TestCollisionsAndDedup:
@@ -189,9 +271,9 @@ class TestCollisionProperties:
         for detection in detections:
             if detection in kept:
                 continue
-            blockers = [k for k in kept if k.overlaps(detection)]
+            blockers = [k for k in kept if overlaps(k, detection)]
             assert blockers
-            assert any(k.priority() >= detection.priority() for k in blockers)
+            assert any(priority(k) >= priority(detection) for k in blockers)
         # 3. idempotent
         assert resolve_collisions(kept) == kept
 

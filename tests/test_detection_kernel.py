@@ -30,8 +30,6 @@ from repro.detection import (
     NamedEntityDetector,
     PatternDetector,
     ShortcutsPipeline,
-    deduplicate,
-    resolve_collisions,
 )
 from repro.detection.base import KIND_PATTERN, PhraseDetector
 from repro.detection.kernel import (
@@ -76,10 +74,8 @@ def assert_automaton_matches_seed(phrases, text):
     expected = reference.seed_matcher_find(phrases, text)
     document = TokenizedDocument(text)
     assert PhraseDetector(phrases).matches(document) == expected
-    assert DetectionKernel.build(named_phrases=phrases).scan(document) == (
-        [],
-        expected,
-    )
+    kernel = DetectionKernel.build(named_phrases=phrases)
+    assert reference.scan_matches(kernel, document) == ([], expected)
 
 
 def assert_scan_finds_longest_matches(automaton, ids, words, inventories):
@@ -270,7 +266,7 @@ class TestFlatAutomatonEdgeCases:
                 )
                 for variant in (compiled, load_detection_kernel(path)):
                     document = TokenizedDocument(text)
-                    assert variant.scan(document) == expected
+                    assert reference.scan_matches(variant, document) == expected
                     assert (
                         list(variant.unit_weights(document).items())
                         == expected_units
@@ -459,7 +455,9 @@ class TestKernelPipelineEquivalence:
                 d
                 if d.kind == KIND_PATTERN
                 else d.with_score(scorer.score_phrase(vector, d.phrase))
-                for d in deduplicate(resolve_collisions(candidates))
+                for d in reference.deduplicate(
+                    reference.resolve_collisions(candidates)
+                )
             ]
             compiled = env_pipeline.process(text).detections
             assert compiled == expected
@@ -554,6 +552,7 @@ class TestKernelPackRoundTrip:
                     column,
                 )
         text = env_stories[0].text
+        assert loaded.phrases == kernel.phrases
         assert loaded.scan(TokenizedDocument(text)) == kernel.scan(
             TokenizedDocument(text)
         )

@@ -12,10 +12,11 @@ import pytest
 
 from repro.features import RelevanceModel
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.quality import QualityMonitor
 from repro.obs.explain import (
     FeatureContribution,
     RankExplanation,
-    explain_document,
+    explain_ranking,
     feature_group_of,
 )
 from repro.ranking import RankSVM
@@ -188,7 +189,8 @@ class TestExplainableRanker:
     def test_direct_ranker_matches_concept_ranker(
         self, serving, env_stories, env_pipeline
     ):
-        """explain_document reproduces ConceptRanker.rank_document exactly."""
+        """explain_ranking over a ConceptRanker's scoring pass reproduces
+        its rank_document exactly."""
         from repro.ranking.model import ConceptRanker
 
         __, interestingness, relevance, svm = serving
@@ -204,24 +206,42 @@ class TestExplainableRanker:
 
         pruned = AnnotatedDocument(text=annotated.text, detections=known)
         expected = plain.rank_document(pruned)
-        ranked, explanations = explain_document(plain, pruned)
+        phrases = [d.phrase for d in known]
+        scored = plain.scoring_pass(*assembler.rows_of(phrases), annotated.text)
+        order = scored.order()
+        explanations = explain_ranking(
+            plain, scored, order, [phrases[i] for i in order]
+        )
+        assert expected
         assert [(d.phrase, d.score) for d in expected] == [
-            (d.phrase, d.score) for d in ranked
+            (e.phrase, e.score) for e in explanations
         ]
 
     def test_rbf_service_raises_on_explain(self, serving, env_stories):
+        """A non-linear model refuses to explain before the quality
+        monitor sees the ranking."""
         pipeline, interestingness, relevance, __ = serving
         svm = RankSVM(epochs=20, kernel="rbf", n_components=32)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 16))
         svm.fit(X, X[:, 0], np.repeat(np.arange(8), 5))
+        monitor_registry = MetricsRegistry()
         service = RankerService(
             pipeline, interestingness, relevance, svm,
             registry=MetricsRegistry(), tracer=Tracer(sample_every=0),
+            quality=QualityMonitor(registry=monitor_registry),
         )
         story = next(s for s in env_stories if service.process(s.text))
+
+        def observed():
+            snap = monitor_registry.snapshot()["quality_rankings_total"]
+            return snap["series"][0]["value"]
+
+        before = observed()
+        assert before >= 1
         with pytest.raises(ValueError):
             service.process(story.text, explain=True)
+        assert observed() == before
 
 
 class TestExplanationDataclasses:

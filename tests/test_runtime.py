@@ -188,15 +188,17 @@ class TestDequantizedMatrix:
             expected = np.vstack(
                 [store.extract(phrase).numeric(groups) for phrase in phrases]
             )
-            gathered = store.numeric_rows(phrases, groups)
+            gathered = store.numeric_rows(store.rows_of(phrases), groups)
             assert gathered.dtype == expected.dtype
             assert gathered.shape == expected.shape
             assert gathered.tobytes() == expected.tobytes()
 
     def test_unknown_phrase_raises(self, stores):
         for store in stores:
+            rows = store.rows_of([store.phrases()[0], "missing concept"])
+            assert rows.tolist() == [0, -1]
             with pytest.raises(KeyError):
-                store.numeric_rows([store.phrases()[0], "missing concept"])
+                store.numeric_rows(rows)
 
 
 def _instance_state(obj):

@@ -19,10 +19,9 @@ from repro.detection import (
     KIND_PATTERN,
     AnnotatedDocument,
     Detection,
-    deduplicate,
-    resolve_collisions,
 )
-from repro.detection.base import PhraseDetector
+from repro.detection.base import KIND_PRIORITY, PhraseDetector
+from repro.detection.pipeline import resolve_candidates
 from repro.detection.kernel import FlatAutomaton, TokenInterner, phrase_inventory
 from repro.features import RelevanceModel
 from repro.ranking import RankSVM
@@ -37,7 +36,14 @@ from repro.text import (
     reset_tokenize_call_count,
     tokenize_call_count,
 )
-from tests.reference import seed_matcher_find
+from tests.reference import (
+    deduplicate,
+    overlaps,
+    priority,
+    resolve_collisions,
+    scan_matches,
+    seed_matcher_find,
+)
 
 
 # -- reference (seed) implementations ------------------------------------
@@ -51,11 +57,11 @@ def find(phrases, text):
 def seed_resolve_collisions(detections):
     """The seed resolver: greedy keep with an all-pairs overlap scan."""
     ordered = sorted(
-        detections, key=lambda d: (-d.priority()[0], -d.priority()[1], d.start)
+        detections, key=lambda d: (-priority(d)[0], -priority(d)[1], d.start)
     )
     kept = []
     for candidate in ordered:
-        if any(candidate.overlaps(existing) for existing in kept):
+        if any(overlaps(candidate, existing) for existing in kept):
             continue
         kept.append(candidate)
     kept.sort(key=lambda d: d.start)
@@ -228,7 +234,7 @@ class TestGoldenEquivalence:
             document = TokenizedDocument(story.text)
             expected = seed_matcher_find(inventory, story.text)
             assert find(inventory, story.text) == expected
-            assert kernel.scan(document) == (
+            assert scan_matches(kernel, document) == (
                 expected,
                 seed_matcher_find(named, story.text),
             )
@@ -250,6 +256,44 @@ class TestGoldenEquivalence:
             for start, length, kind in raw
         ]
         assert resolve_collisions(detections) == seed_resolve_collisions(detections)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 50),
+                st.integers(1, 10),
+                st.sampled_from([KIND_PATTERN, KIND_NAMED, KIND_CONCEPT]),
+            ),
+            max_size=25,
+        ),
+        st.text(alphabet="aAb ", min_size=60, max_size=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_id_columns_match_seed_scan_and_dedup(self, raw, text):
+        """`resolve_candidates` over id columns keeps what the seed's
+        all-pairs scan, then dedup on the surface key, keeps."""
+        by_kind = {
+            kind: [(start, start + length) for start, length, k in raw if k == kind]
+            for kind in (KIND_PATTERN, KIND_NAMED, KIND_CONCEPT)
+        }
+        # the string path's candidate order: patterns, named, concepts
+        detections = [
+            Detection(text=text[start:end], start=start, end=end, kind=kind)
+            for kind in (KIND_PATTERN, KIND_NAMED, KIND_CONCEPT)
+            for start, end in by_kind[kind]
+        ]
+        named = [(start, end, index) for index, (start, end) in enumerate(by_kind[KIND_NAMED])]
+        rows = resolve_candidates(
+            text,
+            [(start, end, "email") for start, end in by_kind[KIND_PATTERN]],
+            named,
+            ["person"] * len(named),
+            [(start, end, index) for index, (start, end) in enumerate(by_kind[KIND_CONCEPT])],
+        )
+        expected = deduplicate(seed_resolve_collisions(detections))
+        assert [(row[0], row[1], row[2]) for row in rows] == [
+            (d.start, d.end, KIND_PRIORITY[d.kind]) for d in expected
+        ]
 
 
 # -- matcher edge cases ---------------------------------------------------

@@ -170,7 +170,7 @@ class TestGoldenScoring:
         rng = np.random.default_rng(13)
         phrases = packed_store.phrases() + ["unknown phrase", "empty concept"]
         for context in random_contexts(packed_store, rng):
-            batch = packed_store.score_many(phrases, context)
+            batch = packed_store.score_many(packed_store.rows_of(phrases), context)
             for phrase, value in zip(phrases, batch.tolist()):
                 assert value == packed_store.score(phrase, context)
 
@@ -272,14 +272,16 @@ class TestRiceArena:
         tids = {int(word) >> SCORE_BITS for __, words in items for word in words}
         context = data.draw(st.sets(st.sampled_from(sorted(tids | {0, MAX_TID}))))
         phrases = [f"p{row}" for row in rows.tolist()] + ["missing"]
-        batch = packed.score_many(phrases, context).tolist()
-        assert compressed.score_many(phrases, context).tolist() == batch
+        rows = packed.rows_of(phrases)
+        assert compressed.rows_of(phrases).tolist() == rows.tolist()
+        batch = packed.score_many(rows, context).tolist()
+        assert compressed.score_many(rows, context).tolist() == batch
         for store in (packed, compressed):
             for phrase, total in zip(phrases, batch):
                 expected = seed_score(packed, phrase, context)
                 assert total == expected
                 assert store.score(phrase, context) == expected
-                assert store.score_many([phrase], context)[0] == expected
+                assert store.score_many(store.rows_of([phrase]), context)[0] == expected
 
     def test_low_width_tracks_density(self):
         dense = np.arange(400, dtype=np.uint32)

@@ -5,6 +5,7 @@
 (`tokenize_lower`, `word_spans`) equal to its word tokens.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,8 @@ def reference_spans(text):
 
 def assert_word_paths_match(text):
     words, starts, ends = word_spans(text)
-    assert list(zip(words, starts, ends)) == reference_spans(text)
+    assert starts.dtype == ends.dtype == np.int64
+    assert list(zip(words, starts.tolist(), ends.tolist())) == reference_spans(text)
     assert tokenize_lower(text) == words
 
 
